@@ -8,6 +8,7 @@ Cluster::Cluster(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
                  const hw::Catalog& catalog, ClusterConfig config)
     : simulator_(&simulator),
       catalog_(&catalog),
+      profile_(catalog),
       config_(config),
       provisioner_(simulator, config.provisioner) {
   const auto count = catalog.all().size();
@@ -17,7 +18,7 @@ Cluster::Cluster(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
     nodes_.push_back(std::make_unique<Node>(simulator, NodeId{static_cast<std::int64_t>(i)},
                                             hw::NodeType(static_cast<int>(i)),
                                             rng.fork(catalog.spec(hw::NodeType(i)).instance),
-                                            zoo, catalog, config.node));
+                                            zoo, profile_, config.node));
     // Node-local events (device completions, cold-start timers) round-robin
     // over the worker shards; control-plane events stay on shard 0. A fleet
     // endpoint pins all of its nodes to the endpoint's shard instead.

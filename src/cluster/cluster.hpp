@@ -38,6 +38,9 @@ class Cluster {
           const models::Zoo& zoo = models::Zoo::instance(),
           const hw::Catalog& catalog = hw::Catalog::instance(),
           ClusterConfig config = {});
+  // Nodes point at profile_.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
 
   Node& node(hw::NodeType type);
   const Node& node(hw::NodeType type) const;
@@ -85,6 +88,7 @@ class Cluster {
 
   sim::Simulator* simulator_;
   const hw::Catalog* catalog_;
+  models::ProfileTable profile_;  // one table shared by every node
   ClusterConfig config_;
   Provisioner provisioner_;
   std::vector<std::unique_ptr<Node>> nodes_;

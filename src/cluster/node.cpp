@@ -7,13 +7,14 @@
 namespace paldia::cluster {
 
 Node::Node(sim::Simulator& simulator, NodeId id, hw::NodeType type, Rng rng,
-           const models::Zoo& zoo, const hw::Catalog& catalog, NodeConfig config)
+           const models::Zoo& zoo, const models::ProfileTable& profile,
+           NodeConfig config)
     : simulator_(&simulator),
       id_(id),
       type_(type),
-      spec_(&catalog.spec(type)),
+      spec_(&profile.catalog().spec(type)),
       zoo_(&zoo),
-      profile_(catalog),
+      profile_(&profile),
       config_(config),
       rng_(rng) {
   if (spec_->is_gpu()) {
@@ -184,7 +185,7 @@ void Node::start_exec(PendingExec pending, Container* container) {
   if (spatial) container->state = ContainerState::kBusy;
 
   const auto& model = zoo_->spec(pending.request.model);
-  const auto entry = profile_.lookup(model, type_, pending.request.batch_size);
+  const auto entry = profile_->lookup(model, type_, pending.request.batch_size);
 
   auto finalize = [this, node_submit_ms, cold_wait, container_id, spatial,
                    on_complete = std::move(pending.request.on_complete)](

@@ -43,9 +43,12 @@ struct ExecRequest {
 
 class Node {
  public:
+  /// `profile` supplies the batch envelopes and, through its catalog, the
+  /// node's spec. It must outlive the node; a Cluster passes its own table.
   Node(sim::Simulator& simulator, NodeId id, hw::NodeType type, Rng rng,
        const models::Zoo& zoo = models::Zoo::instance(),
-       const hw::Catalog& catalog = hw::Catalog::instance(), NodeConfig config = {});
+       const models::ProfileTable& profile = models::ProfileTable::instance(),
+       NodeConfig config = {});
 
   NodeId id() const { return id_; }
   hw::NodeType type() const { return type_; }
@@ -101,7 +104,7 @@ class Node {
   void set_shard(int shard);
   int shard() const { return shard_; }
 
-  const models::ProfileTable& profile() const { return profile_; }
+  const models::ProfileTable& profile() const { return *profile_; }
 
  private:
   struct PendingExec {
@@ -119,7 +122,7 @@ class Node {
   hw::NodeType type_;
   const hw::NodeSpec* spec_;
   const models::Zoo* zoo_;
-  models::ProfileTable profile_;
+  const models::ProfileTable* profile_;
   NodeConfig config_;
   Rng rng_;
 

@@ -1,5 +1,4 @@
 #include "src/core/framework.hpp"
-#include <cstdlib>
 
 #include <algorithm>
 #include <cassert>
@@ -198,12 +197,6 @@ void Framework::dispatch_tick() {
     auto& node = cluster_->node(active_node_);
     autoscaler_.ensure(node, model_id, policy_->desired_containers(plan));
     auto requests = gateway_.take(model_id, pending, now);
-    if (std::getenv("PALDIA_TRACE_DISPATCH") && now < 30000) {
-      std::fprintf(stderr,
-                   "[dispatch] t=%.0f pending=%d taken=%zu bs=%d cpu=%d sp=%d tp=%d\n",
-                   now, pending, requests.size(), plan.batch_size,
-                   (int)plan.use_cpu, plan.spatial_requests, plan.temporal_requests);
-    }
     distributor_->dispatch(node, plan, std::move(requests), now);
   }
 }
@@ -331,11 +324,6 @@ void Framework::begin_switch(hw::NodeType target) {
     tracer_->count("switches_initiated");
   }
   if (attribution_ != nullptr) attribution_->on_switch_begin(simulator_->now());
-  if (std::getenv("PALDIA_TRACE_SWITCH")) {
-    std::fprintf(stderr, "[switch] t=%.0f begin -> %s gen=%llu\n", simulator_->now(),
-                 std::string(hw::node_type_name(target)).c_str(),
-                 (unsigned long long)generation);
-  }
   cluster_->acquire(target, [this, target, generation](cluster::Node& node) {
     if (generation != switch_generation_) {
       // Superseded by an escalation; drop the stale acquisition.
@@ -386,12 +374,6 @@ void Framework::begin_switch(hw::NodeType target) {
           }
           if (attribution_ != nullptr) {
             attribution_->on_switch_active(simulator_->now());
-          }
-          if (std::getenv("PALDIA_TRACE_SWITCH")) {
-            std::fprintf(stderr, "[switch] t=%.0f active -> %s gen=%llu\n",
-                         simulator_->now(),
-                         std::string(hw::node_type_name(target)).c_str(),
-                         (unsigned long long)generation);
           }
           // Relinquish the old node after its in-flight work drains.
           simulator_->schedule_in(

@@ -1,6 +1,4 @@
 #include "src/core/paldia_policy.hpp"
-#include <cstdlib>
-#include <cstdio>
 
 #include <algorithm>
 
@@ -36,7 +34,7 @@ void PaldiaPolicy::sync_cache_counters() {
 }
 
 hw::NodeType PaldiaPolicy::select_hardware(const std::vector<DemandSnapshot>& demand,
-                                           hw::NodeType current, TimeMs now) {
+                                           hw::NodeType current, TimeMs /*now*/) {
   // The framework opened the tick's decision record before calling us.
   obs::DecisionRecord* rec =
       tracer() != nullptr ? tracer()->current_decision() : nullptr;
@@ -49,7 +47,7 @@ hw::NodeType PaldiaPolicy::select_hardware(const std::vector<DemandSnapshot>& de
   const bool observed = tracer() != nullptr;
   const HardwareChoice choice =
       selection_.choose(demand, observed ? &sweep : nullptr);
-  const hw::NodeType decided = apply_hysteresis(choice, current, demand, now);
+  const hw::NodeType decided = apply_hysteresis(choice, current, demand);
   // The monitor tick samples counters right after this call; flushing here
   // folds the interval's dispatch-round sweeps into the same sample.
   sync_cache_counters();
@@ -84,19 +82,7 @@ hw::NodeType PaldiaPolicy::select_hardware(const std::vector<DemandSnapshot>& de
 
 hw::NodeType PaldiaPolicy::apply_hysteresis(const HardwareChoice& choice,
                                             hw::NodeType current,
-                                            const std::vector<DemandSnapshot>& demand,
-                                            TimeMs now) {
-  if (std::getenv("PALDIA_TRACE_SELECT")) {
-    std::fprintf(stderr,
-                 "[select] t=%.0f cur=%s chosen=%s tmax=%.0f feas=%d ctr=%d "
-                 "pred=%.1f backlog=%d\n",
-                 now, std::string(hw::node_type_name(current)).c_str(),
-                 std::string(hw::node_type_name(choice.node)).c_str(),
-                 choice.t_max_ms, (int)choice.feasible, downgrade_ctr_,
-                 demand.empty() ? 0.0 : demand[0].predicted_rps,
-                 demand.empty() ? 0 : demand[0].backlog);
-  }
-
+                                            const std::vector<DemandSnapshot>& demand) {
   // Hysteresis (Algorithm 1 tail): only reconfigure after wait_limit
   // consecutive rounds prefer the same non-current node — repeated
   // mismatches reveal a trend rather than noise. The downgrade counter is

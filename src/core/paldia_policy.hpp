@@ -55,8 +55,7 @@ class PaldiaPolicy final : public SchedulerPolicy {
   /// Algorithm 1's tail: wait/downgrade/emergency counters deciding when
   /// the raw choice actually triggers a reconfiguration.
   hw::NodeType apply_hysteresis(const HardwareChoice& choice, hw::NodeType current,
-                                const std::vector<DemandSnapshot>& demand,
-                                TimeMs now);
+                                const std::vector<DemandSnapshot>& demand);
 
   /// Flush cache hit/miss deltas into the tracer's counter registry (the
   /// samples ride the monitor-tick counter dump). Identical in cached and

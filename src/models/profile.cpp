@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 
 namespace paldia::models {
 
@@ -20,6 +21,18 @@ double fbr_scale(const ModelSpec& model, int bs) {
 double raw_fbr(const ModelSpec& model, const hw::GpuSpec& gpu, int bs) {
   return model.fbr_v100 * (gpu.speed * kV100Bandwidth / gpu.mem_bandwidth_gbps) *
          fbr_scale(model, bs);
+}
+
+double cpu_core_penalty(const hw::CpuSpec& cpu) {
+  return std::pow(kCpuRefVcpus / static_cast<double>(cpu.vcpus), kCpuScalingExponent);
+}
+
+DurationMs cpu_solo_with_penalty(const ModelSpec& model, const hw::CpuSpec& cpu,
+                                 int bs, double core_penalty) {
+  bs = std::max(bs, 1);
+  return kCpuFixedOverheadMs +
+         model.cpu_per_item_ms * static_cast<double>(bs) * core_penalty /
+             cpu.per_core_speed;
 }
 
 }  // namespace
@@ -49,15 +62,20 @@ double gpu_compute(const ModelSpec& model, const hw::GpuSpec& gpu, int bs) {
 }
 
 DurationMs cpu_solo_ms(const ModelSpec& model, const hw::CpuSpec& cpu, int bs) {
-  bs = std::max(bs, 1);
-  const double core_penalty =
-      std::pow(kCpuRefVcpus / static_cast<double>(cpu.vcpus), kCpuScalingExponent);
-  return kCpuFixedOverheadMs +
-         model.cpu_per_item_ms * static_cast<double>(bs) * core_penalty /
-             cpu.per_core_speed;
+  return cpu_solo_with_penalty(model, cpu, bs, cpu_core_penalty(cpu));
 }
 
-ProfileTable::ProfileTable(const hw::Catalog& catalog) : catalog_(&catalog) {}
+ProfileTable::ProfileTable(const hw::Catalog& catalog) : catalog_(&catalog) {
+  cpu_core_penalty_.reserve(catalog.size());
+  for (const hw::NodeSpec& spec : catalog.all()) {
+    cpu_core_penalty_.push_back(spec.is_gpu() ? 0.0 : cpu_core_penalty(spec.cpu));
+  }
+}
+
+const ProfileTable& ProfileTable::instance() {
+  static const ProfileTable table(hw::Catalog::instance());
+  return table;
+}
 
 ProfileEntry ProfileTable::lookup(const ModelSpec& model, hw::NodeType node,
                                   int bs) const {
@@ -67,22 +85,25 @@ ProfileEntry ProfileTable::lookup(const ModelSpec& model, hw::NodeType node,
                         gpu_fbr(model, *spec.gpu, bs),
                         gpu_compute(model, *spec.gpu, bs)};
   }
-  return ProfileEntry{cpu_solo_ms(model, spec.cpu, bs), 0.0, 0.0};
+  return ProfileEntry{solo_ms(model, node, bs), 0.0, 0.0};
+}
+
+DurationMs ProfileTable::solo_ms(const ModelSpec& model, hw::NodeType node,
+                                 int bs) const {
+  const hw::NodeSpec& spec = catalog_->spec(node);
+  if (spec.is_gpu()) return gpu_solo_ms(model, *spec.gpu, bs);
+  return cpu_solo_with_penalty(model, spec.cpu, bs,
+                               cpu_core_penalty_[static_cast<std::size_t>(node)]);
 }
 
 int ProfileTable::max_batch_within(const ModelSpec& model, hw::NodeType node,
                                    DurationMs budget_ms) const {
-  int best = 0;
-  // Latency is monotone in batch size, so binary search would do; the range
-  // is <= 128, a linear scan is simpler and just as fast in context.
-  for (int bs = 1; bs <= model.max_batch; ++bs) {
-    if (lookup(model, node, bs).solo_ms <= budget_ms) {
-      best = bs;
-    } else {
-      break;
-    }
-  }
-  return best;
+  // The sizes that fit form a prefix of 1..max_batch (see the header), so
+  // the answer is the length of that prefix.
+  const auto sizes = std::views::iota(1, std::max(model.max_batch, 0) + 1);
+  const auto first_misfit = std::ranges::partition_point(
+      sizes, [&](int bs) { return solo_ms(model, node, bs) <= budget_ms; });
+  return static_cast<int>(first_misfit - sizes.begin());
 }
 
 Rps ProfileTable::peak_solo_throughput(const ModelSpec& model, hw::NodeType node) const {

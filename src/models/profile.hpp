@@ -25,6 +25,8 @@
 // with ref_vcpus = 16 (c6i.4xlarge) and imperfect scaling exponent 0.85.
 #pragma once
 
+#include <vector>
+
 #include "src/hw/catalog.hpp"
 #include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
@@ -61,17 +63,28 @@ struct ProfileEntry {
   double compute = 0.0;  // SM occupancy fraction; 0 for CPU nodes
 };
 
-/// Profile lookup across the whole catalog. Thin, stateless facade over the
-/// analytic envelopes; the Profiler can overwrite entries with measured
-/// values (calibration), which is why it is a class and not free functions.
+/// Profile lookup across the whole catalog: a facade over the analytic
+/// envelopes that evaluates each node's batch-independent constant (the CPU
+/// core penalty) once, at construction. The Profiler can overwrite entries
+/// with measured values (calibration), which is why it is a class and not
+/// free functions.
 class ProfileTable {
  public:
   explicit ProfileTable(const hw::Catalog& catalog = hw::Catalog::instance());
 
   ProfileEntry lookup(const ModelSpec& model, hw::NodeType node, int bs) const;
 
+  /// lookup(model, node, bs).solo_ms without the FBR and compute terms.
+  DurationMs solo_ms(const ModelSpec& model, hw::NodeType node, int bs) const;
+
   /// Max batch size whose isolated latency fits within `budget_ms` on the
   /// node; 0 when even a single request does not fit.
+  ///
+  /// Binary search. It relies on solo_ms(model, node, bs) never decreasing
+  /// as bs grows, which holds on GPU and CPU nodes for non-negative model
+  /// and silicon parameters: every operation in the envelopes is monotone
+  /// under IEEE rounding. The answer is therefore the one a linear prefix
+  /// scan over 1..max_batch gives, for any budget (NaN fits nothing).
   int max_batch_within(const ModelSpec& model, hw::NodeType node,
                        DurationMs budget_ms) const;
 
@@ -81,8 +94,13 @@ class ProfileTable {
 
   const hw::Catalog& catalog() const { return *catalog_; }
 
+  /// Table over the default catalog, shared like Catalog::instance().
+  static const ProfileTable& instance();
+
  private:
   const hw::Catalog* catalog_;
+  /// Per node type: (kCpuRefVcpus / vcpus)^kCpuScalingExponent of its CPU.
+  std::vector<double> cpu_core_penalty_;
 };
 
 }  // namespace paldia::models

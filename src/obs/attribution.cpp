@@ -57,10 +57,14 @@ void BlackoutWindows::close_all(TimeMs now) {
 }
 
 bool BlackoutWindows::overlaps(TimeMs begin_ms, TimeMs end_ms) const {
-  for (const Window& window : windows_) {
-    if (begin_ms <= window.end_ms && end_ms >= window.begin_ms) return true;
-  }
-  return false;
+  // Ends are non-decreasing, so the windows ending before begin_ms form a
+  // prefix. Every later window ends at or after begin_ms, and the first of
+  // them has the earliest begin, so it alone decides. (A NaN begin_ms
+  // skips every window, as the pairwise test would.)
+  const auto first = std::partition_point(
+      windows_.begin(), windows_.end(),
+      [begin_ms](const Window& window) { return !(begin_ms <= window.end_ms); });
+  return first != windows_.end() && end_ms >= first->begin_ms;
 }
 
 AttributionEngine::AttributionEngine(const models::Zoo& zoo) {

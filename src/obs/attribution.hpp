@@ -80,12 +80,18 @@ telemetry::ViolationCause classify_violation(const LifecycleSample& sample);
 /// the new node). Windows that never close extend to the end of the run.
 /// Shared by the online engine and the offline analyzer so both sides agree
 /// on what counts as "waited through a switch".
+///
+/// open() and close_all() must be called with non-decreasing `now`. Then
+/// window begins and ends are both non-decreasing in opening order (the
+/// open windows are always a suffix, and close_all closes that suffix at
+/// once), which is what lets overlaps() binary-search. The simulator's
+/// clock guarantees it; the offline parser rejects traces that break it.
 class BlackoutWindows {
  public:
   void open(TimeMs now);
   void close_all(TimeMs now);
   /// Does [begin, end] intersect any window? Open windows count as
-  /// extending to +infinity.
+  /// extending to +infinity. O(log windows).
   bool overlaps(TimeMs begin_ms, TimeMs end_ms) const;
   std::size_t count() const { return windows_.size(); }
 

@@ -142,10 +142,20 @@ class RepBuilder {
       return;
     }
     if (!is_timeline_event(name)) return;
-    if (is_blackout_open(name)) {
-      out_.blackouts.open(t_ms);
-    } else if (name == "switch_active") {
-      out_.blackouts.close_all(t_ms);
+    const bool opens = is_blackout_open(name);
+    if (opens || name == "switch_active") {
+      // BlackoutWindows needs its opens and closes in time order.
+      if (t_ms < last_blackout_ms_ && disorder_.empty()) {
+        disorder_ = std::string(name) + " at " + num(t_ms) +
+                    " ms follows a blackout instant at " +
+                    num(last_blackout_ms_) + " ms";
+      }
+      last_blackout_ms_ = t_ms;
+      if (opens) {
+        out_.blackouts.open(t_ms);
+      } else {
+        out_.blackouts.close_all(t_ms);
+      }
     }
     RepData::SwitchEvent event;
     event.t_ms = t_ms;
@@ -173,6 +183,9 @@ class RepBuilder {
     }
   }
 
+  /// Empty unless a blackout instant went back in time; then it says which.
+  const std::string& disorder() const { return disorder_; }
+
   void finish() {
     for (const auto& [model, value] : unserved_last_) {
       const auto count = static_cast<std::uint64_t>(std::llround(value));
@@ -189,6 +202,8 @@ class RepBuilder {
   std::unordered_map<std::int64_t, LifecycleSample> pending_;
   std::map<int, double> unserved_last_;
   std::map<std::pair<int, int>, double> sampled_out_last_;
+  TimeMs last_blackout_ms_ = -kTimeNever;
+  std::string disorder_;
 };
 
 }  // namespace
@@ -379,8 +394,17 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
       if (args != nullptr) builder_for(rep).on_counter(name, args->number_or("value", 0.0));
     }
   }
-  for (const auto& builder : builders) {
-    if (builder != nullptr) builder->finish();
+  for (std::size_t rep = 0; rep < builders.size(); ++rep) {
+    if (builders[rep] == nullptr) continue;
+    if (!builders[rep]->disorder().empty()) {
+      if (error != nullptr) {
+        *error = "rep " + std::to_string(rep) + ": " + builders[rep]->disorder() +
+                 "; switch_begin, node_failure and switch_active instants must "
+                 "be in time order";
+      }
+      return false;
+    }
+    builders[rep]->finish();
   }
   return true;
 }

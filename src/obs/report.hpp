@@ -181,7 +181,9 @@ RunData extract_run_data(const RunTrace& trace, const std::string& label);
 
 /// Offline producer: RunData from a parsed Chrome-trace JSON document
 /// (write_chrome_trace output). Returns false and sets `error` when the
-/// document is not a trace export.
+/// document is not a trace export, or when a repetition's blackout instants
+/// (switch_begin, node_failure, switch_active) go back in time: blackout
+/// overlap is only defined for time-ordered windows (BlackoutWindows).
 bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
                         RunData* out, std::string* error);
 

@@ -26,10 +26,13 @@ CpuEstimate approx_cpu_t_max(const models::ModelSpec& model,
     estimate.feasible = false;
     return estimate;
   }
+  // Sizes past n_requests drain in one batch, so t(bs) = solo(bs) >= t(n)
+  // (solo never decreases in bs) and the strict `<` below never picks them.
   double best_t = kTimeNever;
   int best_bs = fit;
-  for (int bs = 1; bs <= std::min(fit, model.max_batch); ++bs) {
-    const double solo = profile.lookup(model, node, bs).solo_ms;
+  const int last = std::min({fit, model.max_batch, n_requests});
+  for (int bs = 1; bs <= last; ++bs) {
+    const double solo = profile.solo_ms(model, node, bs);
     const double batches = std::ceil(static_cast<double>(n_requests) / bs);
     const double t = batches * solo;
     if (t < best_t) {

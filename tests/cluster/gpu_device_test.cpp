@@ -171,17 +171,15 @@ TEST(GpuDevice, FailAllReportsFailures) {
 TEST(GpuDevice, BusyTimeTracksNonIdleTime) {
   sim::Simulator simulator;
   GpuDevice device(simulator, m60(), Rng(10), no_noise());
-  ExecutionReport a;
+  ExecutionReport a, b;
   device.submit_spatial(job(100.0, 0.5, &a));
   simulator.run_to_completion();
   EXPECT_NEAR(device.busy_time_ms(), 100.0, 1e-6);
   // Idle gap then another job.
-  simulator.schedule_in(100.0, [&] {
-    ExecutionReport* leak = new ExecutionReport();
-    device.submit_serial(job(50.0, 0.5, leak));
-  });
+  simulator.schedule_in(100.0, [&] { device.submit_serial(job(50.0, 0.5, &b)); });
   simulator.run_to_completion();
   EXPECT_NEAR(device.busy_time_ms(), 150.0, 1e-6);
+  EXPECT_NEAR(b.end_ms - b.start_ms, 50.0, 1e-6);  // the report outlives the job
 }
 
 TEST(GpuDevice, JitterBoundedAndDeterministic) {

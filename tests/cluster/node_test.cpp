@@ -79,7 +79,7 @@ TEST(Node, ColdStartChargedToFirstBatch) {
   sim::Simulator simulator;
   NodeConfig config;
   Node node(simulator, NodeId{0}, hw::NodeType::kG3s_xlarge, Rng(6),
-            models::Zoo::instance(), hw::Catalog::instance(), config);
+            models::Zoo::instance(), models::ProfileTable::instance(), config);
   ExecutionReport report;
   // No container exists; temporal path spawns one and waits for it.
   node.execute(request(16, ShareMode::kTemporal, &report));

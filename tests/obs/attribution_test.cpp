@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/models/zoo.hpp"
 #include "src/obs/sketch.hpp"
 
@@ -117,6 +120,75 @@ TEST(BlackoutWindows, CloseAllClosesEveryOpenWindow) {
   windows.open(500.0);
   EXPECT_TRUE(windows.overlaps(600.0, 601.0));
   EXPECT_FALSE(windows.overlaps(300.0, 400.0));
+}
+
+// Reference model for overlaps(): the pairwise scan over every window it
+// replaced, on random time-ordered open/close/query sequences. Ties in time,
+// empty windows, queries with begin > end, infinite and NaN bounds included.
+TEST(BlackoutWindows, OverlapsMatchesLinearScanOnRandomSequences) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Window {
+    TimeMs begin_ms;
+    TimeMs end_ms;
+  };
+  std::uint64_t queries = 0;
+  std::uint64_t hits = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    BlackoutWindows windows;
+    std::vector<Window> reference;
+    TimeMs now = 0.0;
+    const int steps = static_cast<int>(rng.uniform_int(1, 300));
+    for (int step = 0; step < steps; ++step) {
+      // Same-instant events are common (a failure and a switch together).
+      if (!rng.bernoulli(0.2)) now += rng.uniform(0.0, 50.0);
+      const double op = rng.uniform();
+      if (op < 0.25) {
+        windows.open(now);
+        reference.push_back({now, kTimeNever});
+      } else if (op < 0.4) {
+        windows.close_all(now);
+        for (Window& window : reference) {
+          if (window.end_ms == kTimeNever) window.end_ms = now;
+        }
+      } else {
+        TimeMs begin = now + rng.uniform(-400.0, 100.0);
+        TimeMs end = begin + rng.uniform(-20.0, 200.0);
+        const double special = rng.uniform();
+        if (!reference.empty() && special < 0.3) {
+          // Touch a window edge exactly: overlap is inclusive at both ends.
+          const Window& edge = reference[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(reference.size()) - 1))];
+          if (special < 0.15) {
+            end = edge.begin_ms;
+          } else if (edge.end_ms != kTimeNever) {
+            begin = edge.end_ms;
+          }
+        } else if (special < 0.32) {
+          begin = std::numeric_limits<double>::quiet_NaN();
+        } else if (special < 0.34) {
+          end = std::numeric_limits<double>::quiet_NaN();
+        } else if (special < 0.36) {
+          begin = -kInf;
+        } else if (special < 0.38) {
+          end = kInf;
+        }
+        bool expected = false;
+        for (const Window& window : reference) {
+          if (begin <= window.end_ms && end >= window.begin_ms) expected = true;
+        }
+        ASSERT_EQ(windows.overlaps(begin, end), expected)
+            << "seed " << seed << " step " << step << " [" << begin << ", " << end
+            << "]";
+        ++queries;
+        hits += expected ? 1 : 0;
+      }
+      ASSERT_EQ(windows.count(), reference.size());
+    }
+  }
+  // Both answers must be well represented for the comparison to mean much.
+  EXPECT_GT(hits, queries / 10);
+  EXPECT_LT(hits, queries - queries / 10);
 }
 
 TEST(AttributionEngine, CauseCountsSumToViolationTotal) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/common/json.hpp"
 #include "src/obs/chrome_trace.hpp"
@@ -197,6 +198,62 @@ TEST(Report, ReportJsonIsDeterministicAndValid) {
     cause_sum += member.second.as_number();
   }
   EXPECT_DOUBLE_EQ(cause_sum, attribution->number_or("violations", -1.0));
+}
+
+/// A hand-built trace of instants; each entry is (rep, name, t_ms).
+struct Instant {
+  int rep;
+  const char* name;
+  double t_ms;
+};
+
+bool parse_instants(const std::vector<Instant>& instants, std::string* error) {
+  constexpr int kPidsPerRep = 1 + hw::kNodeTypeCount;  // chrome_trace layout
+  std::string text = "{\"traceEvents\":[";
+  for (std::size_t i = 0; i < instants.size(); ++i) {
+    if (i > 0) text += ",";
+    text += "{\"ph\":\"i\",\"pid\":" + std::to_string(instants[i].rep * kPidsPerRep) +
+            ",\"tid\":0,\"ts\":" + std::to_string(instants[i].t_ms * 1000.0) +
+            ",\"s\":\"p\",\"name\":\"" + instants[i].name +
+            "\",\"args\":{\"value\":0,\"node\":\"g3s.xlarge\"}}";
+  }
+  text += "],\"metadata\":{\"reps\":2}}";
+  const auto parsed = common::parse_json(text);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  RunData data;
+  return parse_chrome_trace(parsed.value, "unit", &data, error);
+}
+
+TEST(Report, OfflineParseAcceptsTimeOrderedBlackoutsWithTies) {
+  std::string error;
+  EXPECT_TRUE(parse_instants({{0, "switch_begin", 1000.0},
+                              {0, "node_failure", 1000.0},
+                              {1, "switch_begin", 200.0},  // reps are independent
+                              {0, "switch_active", 1500.0},
+                              {0, "node_recovered", 900.0},  // not a blackout instant
+                              {0, "switch_begin", 1500.0},
+                              {1, "switch_active", 300.0}},
+                             &error))
+      << error;
+}
+
+// Blackout overlap is only defined for windows that open and close in time
+// order, so a trace that breaks it must fail loudly instead of silently
+// shifting violations into or out of hardware_switch.
+TEST(Report, OfflineParseRejectsBlackoutsGoingBackInTime) {
+  std::string error;
+  EXPECT_FALSE(parse_instants({{0, "switch_begin", 5000.0},
+                               {0, "switch_active", 6000.0},
+                               {0, "switch_begin", 4000.0}},
+                              &error));
+  EXPECT_NE(error.find("rep 0: switch_begin at 4000 ms"), std::string::npos) << error;
+
+  error.clear();
+  EXPECT_FALSE(parse_instants({{0, "switch_begin", 100.0},
+                               {1, "node_failure", 5000.0},
+                               {1, "switch_active", 4999.0}},
+                              &error));
+  EXPECT_NE(error.find("rep 1: switch_active at 4999 ms"), std::string::npos) << error;
 }
 
 TEST(Report, RenderTextMentionsEverySection) {
