@@ -2,12 +2,16 @@
 // printing, and the paper-vs-measured framing every binary emits.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/table.hpp"
@@ -93,14 +97,37 @@ struct BenchOptions {
   int endpoints = 4;
 };
 
-inline BenchOptions parse_options(int argc, char** argv) {
+/// A bad command line: print why and exit 2, like `paldia-analyze`.
+[[noreturn]] inline void usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s (see --help)\n", message.c_str());
+  std::exit(2);
+}
+
+/// `text` parsed in full as a T, else a usage error naming `flag`.
+template <typename T>
+T parse_number(std::string_view flag, std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto result = std::from_chars(text.data(), end, value);
+  if (text.empty() || result.ec != std::errc() || result.ptr != end) {
+    usage_error(std::string(flag) + " wants a number, got '" + std::string(text) +
+                "'");
+  }
+  return value;
+}
+
+/// Parse the shared driver flags. Any other argument is a usage error,
+/// except the flags a driver parses itself, named in `own_flags` (e.g.
+/// "--requests", matched with or without "=value").
+inline BenchOptions parse_options(
+    int argc, char** argv, std::initializer_list<std::string_view> own_flags = {}) {
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--reps=", 0) == 0) {
-      options.repetitions = std::max(1, std::atoi(arg.c_str() + 7));
+      options.repetitions = std::max(1, parse_number<int>("--reps", arg.substr(7)));
     } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = std::max(0, std::atoi(arg.c_str() + 10));
+      options.threads = std::max(0, parse_number<int>("--threads", arg.substr(10)));
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       options.trace_out = arg.substr(12);
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
@@ -118,10 +145,10 @@ inline BenchOptions parse_options(int argc, char** argv) {
     } else if (arg == "--no-prune") {
       options.prune = false;
     } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = std::max(1, std::atoi(arg.c_str() + 9));
+      options.shards = std::max(1, parse_number<int>("--shards", arg.substr(9)));
     } else if (arg.rfind("--sample-rate=", 0) == 0) {
-      options.sample_rate =
-          static_cast<std::uint32_t>(std::max(1, std::atoi(arg.c_str() + 14)));
+      options.sample_rate = static_cast<std::uint32_t>(
+          std::max(1, parse_number<int>("--sample-rate", arg.substr(14))));
     } else if (arg.rfind("--rollup-out=", 0) == 0) {
       options.rollup_out = arg.substr(13);
     } else if (arg == "--profile") {
@@ -129,20 +156,22 @@ inline BenchOptions parse_options(int argc, char** argv) {
     } else if (arg.rfind("--alerts-out=", 0) == 0) {
       options.alerts_out = arg.substr(13);
     } else if (arg.rfind("--slo-target=", 0) == 0) {
-      options.slo_target = std::atof(arg.c_str() + 13);
+      options.slo_target = parse_number<double>("--slo-target", arg.substr(13));
     } else if (arg.rfind("--catalog=", 0) == 0) {
       options.catalog = arg.substr(10);
     } else if (arg.rfind("--endpoints=", 0) == 0) {
-      options.endpoints = std::max(1, std::atoi(arg.c_str() + 12));
+      options.endpoints = std::max(1, parse_number<int>("--endpoints", arg.substr(12)));
     } else if (arg.rfind("--burn-windows=", 0) == 0) {
-      double fast = 0.0, slow = 0.0;
-      if (std::sscanf(arg.c_str() + 15, "%lf,%lf", &fast, &slow) == 2) {
-        options.burn_fast_ms = fast;
-        options.burn_slow_ms = slow;
-      } else {
-        std::fprintf(stderr, "warning: --burn-windows wants FAST,SLOW in ms; "
-                             "ignoring '%s'\n", arg.c_str() + 15);
+      const std::string_view windows = std::string_view(arg).substr(15);
+      const std::size_t comma = windows.find(',');
+      if (comma == std::string_view::npos) {
+        usage_error("--burn-windows wants FAST,SLOW in ms, got '" +
+                    std::string(windows) + "'");
       }
+      options.burn_fast_ms =
+          parse_number<double>("--burn-windows", windows.substr(0, comma));
+      options.burn_slow_ms =
+          parse_number<double>("--burn-windows", windows.substr(comma + 1));
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--reps=N] [--threads=N] [--full] [--no-tmax-cache]\n"
@@ -182,6 +211,11 @@ inline BenchOptions parse_options(int argc, char** argv) {
           "                                    over a slice of the catalog\n",
           argv[0]);
       std::exit(0);
+    } else {
+      const std::string_view name = std::string_view(arg).substr(0, arg.find('='));
+      bool own = false;
+      for (const std::string_view flag : own_flags) own = own || name == flag;
+      if (!own) usage_error("unknown option '" + arg + "'");
     }
   }
   return options;
@@ -226,36 +260,12 @@ class RunObserver {
       : figure_(std::move(figure)),
         trace_out_(options.trace_out),
         report_out_(options.report_out),
-        profile_(options.profile) {
-    if (!options.metrics_out.empty()) {
-      metrics_ = std::make_unique<obs::MetricsWriter>(options.metrics_out);
-      if (!metrics_->ok()) {
-        std::fprintf(stderr, "warning: --metrics-out: %s\n",
-                     metrics_->error().c_str());
-      }
-    }
-    if (!options.decisions_out.empty()) {
-      decisions_ = std::make_unique<obs::DecisionLogWriter>(options.decisions_out);
-      if (!decisions_->ok()) {
-        std::fprintf(stderr, "warning: --decisions-out: %s\n",
-                     decisions_->error().c_str());
-      }
-    }
-    if (!options.rollup_out.empty()) {
-      rollups_ = std::make_unique<obs::RollupWriter>(options.rollup_out);
-      if (!rollups_->ok()) {
-        std::fprintf(stderr, "warning: --rollup-out: %s\n",
-                     rollups_->error().c_str());
-      }
-    }
-    if (!options.alerts_out.empty()) {
-      alerts_ = std::make_unique<obs::AlertWriter>(options.alerts_out);
-      if (!alerts_->ok()) {
-        std::fprintf(stderr, "warning: --alerts-out: %s\n",
-                     alerts_->error().c_str());
-      }
-    }
-  }
+        profile_(options.profile),
+        metrics_(open_stream<obs::MetricsWriter>(options.metrics_out, "--metrics-out")),
+        decisions_(open_stream<obs::DecisionLogWriter>(options.decisions_out,
+                                                        "--decisions-out")),
+        rollups_(open_stream<obs::RollupWriter>(options.rollup_out, "--rollup-out")),
+        alerts_(open_stream<obs::AlertWriter>(options.alerts_out, "--alerts-out")) {}
 
   ~RunObserver() {
     if (report_out_.empty() || reports_.empty()) return;
@@ -307,7 +317,7 @@ class RunObserver {
 
   /// Stream one metrics row (drivers with hand-rolled sweeps call this).
   void record(const telemetry::RunMetrics& row) {
-    if (metrics_ != nullptr) metrics_->write(row, figure_);
+    write_stream(metrics_, "--metrics-out", row, figure_);
   }
 
   /// Export a captured trace: Chrome JSON to a path derived from the base
@@ -336,14 +346,15 @@ class RunObserver {
           std::fprintf(stderr, "warning: --trace-out: %s\n", error.c_str());
         }
       }
-      if (decisions_ != nullptr) decisions_->write(trace, scheme, scenario);
-      if (rollups_ != nullptr) rollups_->write(trace, label);
-      if (alerts_ != nullptr) alerts_->write(trace, label);
+      write_stream(decisions_, "--decisions-out", trace, scheme, scenario);
+      write_stream(rollups_, "--rollup-out", trace, label);
+      write_stream(alerts_, "--alerts-out", trace, label);
     }
     if (!report_out_.empty()) {
       // Same analysis paldia-analyze performs on the exported trace file;
-      // extract_run_data quantizes through the exporter formats, so the two
-      // reports come out byte-identical. The self-profile section rides
+      // extract_run_data's values are exactly what a reader parses from the
+      // exporter's text (Quantize suite, tests/obs/report_test.cpp), so the
+      // two reports come out byte-identical. The self-profile section rides
       // along only when --profile recorded something; the health section
       // only when --alerts-out ran a HealthEngine.
       obs::AnalysisReport report =
@@ -356,6 +367,31 @@ class RunObserver {
   }
 
  private:
+  /// The writer for a stream flag, or nullptr when the flag is unset. A
+  /// file that does not open is reported here; the writer then stays idle.
+  template <typename Writer>
+  static std::unique_ptr<Writer> open_stream(const std::string& path,
+                                             const char* flag) {
+    if (path.empty()) return nullptr;
+    auto writer = std::make_unique<Writer>(path);
+    if (!writer->ok()) {
+      std::fprintf(stderr, "warning: %s: %s\n", flag, writer->error().c_str());
+    }
+    return writer;
+  }
+
+  /// One write() on an enabled, healthy stream. The write that fails is
+  /// reported once; the writer writes nothing after it.
+  template <typename Writer, typename... Args>
+  static void write_stream(const std::unique_ptr<Writer>& writer, const char* flag,
+                           const Args&... args) {
+    if (writer == nullptr || !writer->ok()) return;
+    writer->write(args...);
+    if (!writer->ok()) {
+      std::fprintf(stderr, "warning: %s: %s\n", flag, writer->error().c_str());
+    }
+  }
+
   std::string figure_;
   std::string trace_out_;
   std::string report_out_;

@@ -36,11 +36,12 @@ FleetFlags parse_fleet_flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--requests=", 0) == 0) {
-      flags.requests = std::strtoull(arg.c_str() + 11, nullptr, 10);
+      flags.requests = bench::parse_number<std::uint64_t>("--requests", arg.substr(11));
     } else if (arg.rfind("--duration=", 0) == 0) {
-      flags.duration_s = std::max(1.0, std::atof(arg.c_str() + 11));
+      flags.duration_s =
+          std::max(1.0, bench::parse_number<double>("--duration", arg.substr(11)));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      flags.trace_seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      flags.trace_seed = bench::parse_number<std::uint64_t>("--seed", arg.substr(7));
     } else if (arg.rfind("--scheme=", 0) == 0) {
       const std::string name = arg.substr(9);
       if (name == "paldia") {
@@ -84,7 +85,8 @@ int main(int argc, char** argv) {
   // Fleet extras first: on --help they print before parse_options' shared
   // usage text (which exits).
   const FleetFlags flags = parse_fleet_flags(argc, argv);
-  auto options = bench::parse_options(argc, argv);
+  auto options = bench::parse_options(
+      argc, argv, {"--requests", "--duration", "--seed", "--scheme"});
   // The shared-flag defaults suit the single-cluster figure drivers; the
   // fleet wants scale unless told otherwise.
   if (!flags.catalog_given) options.catalog = "gen:256";

@@ -21,6 +21,7 @@ Histogram::Histogram() {
     ++exp_buckets;
   }
   buckets_.assign(kLinearBuckets + exp_buckets + 1, 0);
+  blocks_.assign((buckets_.size() + kBlockBuckets - 1) / kBlockBuckets, 0);
   min_ = std::numeric_limits<double>::infinity();
   max_ = -std::numeric_limits<double>::infinity();
 }
@@ -52,7 +53,9 @@ double Histogram::bucket_value(std::size_t index) const {
 
 void Histogram::add(double value_ms, std::uint64_t count) {
   if (count == 0) return;
-  buckets_[bucket_index(value_ms)] += count;
+  const std::size_t index = bucket_index(value_ms);
+  buckets_[index] += count;
+  blocks_[index / kBlockBuckets] += count;
   total_count_ += count;
   sum_ += value_ms * static_cast<double>(count);
   min_ = std::min(min_, value_ms);
@@ -60,7 +63,14 @@ void Histogram::add(double value_ms, std::uint64_t count) {
 }
 
 void Histogram::merge(const Histogram& other) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  for (std::size_t block = 0; block < blocks_.size(); ++block) {
+    if (other.blocks_[block] == 0) continue;
+    blocks_[block] += other.blocks_[block];
+    const std::size_t end = std::min(buckets_.size(), (block + 1) * kBlockBuckets);
+    for (std::size_t i = block * kBlockBuckets; i < end; ++i) {
+      buckets_[i] += other.buckets_[i];
+    }
+  }
   total_count_ += other.total_count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
@@ -68,7 +78,12 @@ void Histogram::merge(const Histogram& other) {
 }
 
 void Histogram::clear() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  for (std::size_t block = 0; block < blocks_.size(); ++block) {
+    if (blocks_[block] == 0) continue;
+    blocks_[block] = 0;
+    const std::size_t end = std::min(buckets_.size(), (block + 1) * kBlockBuckets);
+    for (std::size_t i = block * kBlockBuckets; i < end; ++i) buckets_[i] = 0;
+  }
   total_count_ = 0;
   sum_ = 0.0;
   min_ = std::numeric_limits<double>::infinity();
@@ -82,19 +97,35 @@ double Histogram::mean() const {
 double Histogram::min() const { return total_count_ == 0 ? 0.0 : min_; }
 double Histogram::max() const { return total_count_ == 0 ? 0.0 : max_; }
 
+void Histogram::walk_to(std::uint64_t target, std::size_t& bucket,
+                        std::uint64_t& seen) const {
+  while (bucket < buckets_.size()) {
+    if (bucket % kBlockBuckets == 0) {
+      // No bucket of a block stops the walk when the whole block is empty
+      // or leaves the cumulative count short of the target.
+      const std::uint64_t block = blocks_[bucket / kBlockBuckets];
+      if (block == 0 || seen + block < target) {
+        seen += block;
+        bucket += kBlockBuckets;
+        continue;
+      }
+    }
+    if (buckets_[bucket] != 0 && seen + buckets_[bucket] >= target) return;
+    seen += buckets_[bucket];
+    ++bucket;
+  }
+}
+
 double Histogram::quantile(double q) const {
   if (total_count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const auto target =
       static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_count_)));
+  std::size_t bucket = 0;
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= target && buckets_[i] > 0) {
-      return std::clamp(bucket_value(i), min_, max_);
-    }
-  }
-  return max_;
+  walk_to(target, bucket, seen);
+  return bucket < buckets_.size() ? std::clamp(bucket_value(bucket), min_, max_)
+                                  : max_;
 }
 
 std::vector<double> Histogram::quantiles(std::span<const double> qs) const {
@@ -117,11 +148,7 @@ std::vector<double> Histogram::quantiles(std::span<const double> qs) const {
     // Same rule as quantile(): the first non-empty bucket whose cumulative
     // count (through itself) reaches the target. Targets ascend, so the
     // walk never rewinds and a bucket may answer several probabilities.
-    while (bucket < buckets_.size() &&
-           (buckets_[bucket] == 0 || seen + buckets_[bucket] < target)) {
-      seen += buckets_[bucket];
-      ++bucket;
-    }
+    walk_to(target, bucket, seen);
     out[qi] = bucket < buckets_.size() ? std::clamp(bucket_value(bucket), min_, max_)
                                        : max_;
   }

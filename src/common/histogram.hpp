@@ -35,7 +35,8 @@ class Histogram {
 
   /// Several quantiles in one bucket scan (quantile() walks the bucket
   /// array per call). Results are bit-identical to calling quantile() on
-  /// each probability and come back in the given order.
+  /// each probability and come back in the given order. Both walks skip
+  /// every 64-bucket block that cannot hold their target.
   std::vector<double> quantiles(std::span<const double> qs) const;
 
   /// Fraction of samples <= threshold (e.g. SLO compliance).
@@ -56,11 +57,20 @@ class Histogram {
   static constexpr double kMaxTrackableMs = 300'000.0;
 
  private:
+  static constexpr std::size_t kBlockBuckets = 64;
+
   std::size_t bucket_index(double value_ms) const;
   double bucket_value(std::size_t index) const;
   double bucket_upper(std::size_t index) const;
+  /// Advance `bucket` to the first non-empty bucket whose cumulative count
+  /// reaches `target` (buckets_.size() if none does); `seen` counts the
+  /// samples in the buckets before `bucket`.
+  void walk_to(std::uint64_t target, std::size_t& bucket, std::uint64_t& seen) const;
 
   std::vector<std::uint64_t> buckets_;
+  /// Sample count of each run of kBlockBuckets buckets (the last run may be
+  /// shorter), so quantile walks and clear() pass over empty regions.
+  std::vector<std::uint64_t> blocks_;
   std::uint64_t total_count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

@@ -6,9 +6,10 @@
 // json_escape() emits, numbers via strtod, true/false/null) and keeps object
 // keys in insertion order so re-serialization round-trips deterministically.
 //
-// Numbers are parsed with strtod — the same conversion the analyzer's
-// quantization helpers use — so a value formatted with "%.10g" parses back
-// to the bit-identical double that produced it.
+// Numbers are parsed with strtod. The inline report producer's quantizers
+// (src/obs/text_format.hpp) return exactly the double strtod parses from
+// the exporter's text — the Quantize suite in tests/obs/report_test.cpp
+// pins it — so a report over parsed files equals the inline one.
 #pragma once
 
 #include <cstddef>

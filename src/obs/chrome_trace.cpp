@@ -1,14 +1,13 @@
 #include "src/obs/chrome_trace.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <set>
 
 #include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
+#include "src/obs/text_format.hpp"
 
 namespace paldia::obs {
 namespace {
@@ -16,45 +15,6 @@ namespace {
 // Process-id block per repetition: pid 0 = framework, 1..kNodeTypeCount =
 // one process per hardware node type.
 constexpr int kPidsPerRep = 1 + hw::kNodeTypeCount;
-
-// Fixed-precision microsecond timestamp: deterministic bytes for a given
-// double, enough resolution for sub-ms simulated times.
-std::string us(TimeMs ms) {
-  char buf[48];
-  const double value = std::isfinite(ms) ? ms * 1000.0 : 0.0;
-  std::snprintf(buf, sizeof(buf), "%.3f", value);
-  return buf;
-}
-
-std::string num(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const char* lane_name(cluster::ShareMode mode) {
   switch (mode) {
@@ -97,7 +57,7 @@ std::string common_fields(const char* ph, int pid, int tid, TimeMs ts) {
   std::string body = "\"ph\":\"";
   body += ph;
   body += "\",\"pid\":" + std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
-          ",\"ts\":" + us(ts);
+          ",\"ts\":" + format_timestamp_us(ts);
   return body;
 }
 
@@ -127,10 +87,10 @@ std::string request_args(const TraceEvent& event, bool with_components) {
                      ",\"spatial\":" + std::to_string(event.spatial) +
                      ",\"temporal\":" + std::to_string(event.temporal);
   if (with_components) {
-    args += ",\"latency_ms\":" + num(event.end_ms - event.start_ms) +
-            ",\"solo_ms\":" + num(event.solo_ms) +
-            ",\"interference_ms\":" + num(event.interference_ms) +
-            ",\"cold_start_ms\":" + num(event.cold_ms);
+    args += ",\"latency_ms\":" + format_number(event.end_ms - event.start_ms) +
+            ",\"solo_ms\":" + format_number(event.solo_ms) +
+            ",\"interference_ms\":" + format_number(event.interference_ms) +
+            ",\"cold_start_ms\":" + format_number(event.cold_ms);
   }
   return args;
 }
@@ -145,14 +105,14 @@ void emit_decision(EventStream& stream, int pid, const DecisionRecord& record) {
       json_escape(std::string(hw::node_type_name(record.final_choice))) +
       "\",\"switch_begun\":" + (record.switch_begun ? "true" : "false") +
       ",\"feasible\":" + (record.raw_feasible ? "true" : "false") +
-      ",\"t_max_ms\":" + num(record.raw_t_max_ms) +
-      ",\"best_t_max_ms\":" + num(record.best_t_max_ms) +
-      ",\"band_ms\":" + num(record.band_ms) +
+      ",\"t_max_ms\":" + format_number(record.raw_t_max_ms) +
+      ",\"best_t_max_ms\":" + format_number(record.best_t_max_ms) +
+      ",\"band_ms\":" + format_number(record.band_ms) +
       ",\"wait_ctr\":" + std::to_string(record.wait_ctr) +
       ",\"downgrade_ctr\":" + std::to_string(record.downgrade_ctr) +
       ",\"emergency_ctr\":" + std::to_string(record.emergency_ctr) +
-      ",\"predicted_rps\":" + num(record.predicted_rps) +
-      ",\"observed_rps\":" + num(record.observed_rps);
+      ",\"predicted_rps\":" + format_number(record.predicted_rps) +
+      ",\"observed_rps\":" + format_number(record.observed_rps);
   if (record.has_sweep) {
     args += ",\"cpu_short_circuit\":";
     args += record.cpu_short_circuit ? "true" : "false";
@@ -163,9 +123,9 @@ void emit_decision(EventStream& stream, int pid, const DecisionRecord& record) {
       first = false;
       args += "{\"node\":\"" +
               json_escape(std::string(hw::node_type_name(candidate.node))) +
-              "\",\"t_max_ms\":" + num(candidate.t_max_ms) +
+              "\",\"t_max_ms\":" + format_number(candidate.t_max_ms) +
               ",\"feasible\":" + (candidate.feasible ? "true" : "false") +
-              ",\"price_per_hour\":" + num(candidate.price_per_hour) +
+              ",\"price_per_hour\":" + format_number(candidate.price_per_hour) +
               ",\"best_y\":" + std::to_string(candidate.best_y) + "}";
     }
     args += "]";
@@ -213,7 +173,7 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
       case TraceEvent::Type::kPhase: {
         emit_request_async(stream, base, event, "b", event.start_ms, "");
         TraceEvent end = event;
-        std::string args = "\"dur_ms\":" + num(event.end_ms - event.start_ms);
+        std::string args = "\"dur_ms\":" + format_number(event.end_ms - event.start_ms);
         emit_request_async(stream, base, end, "e", event.end_ms, args);
         // The parent kRequest "e" is emitted when its last phase closes:
         // record_request_lifecycle orders phases queue/dispatch/execute, so
@@ -228,7 +188,7 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
       case TraceEvent::Type::kBatch: {
         std::string body = common_fields("X", base + 1 + std::max<int>(0, event.node),
                                          lane_tid(event.mode), event.start_ms);
-        body += ",\"dur\":" + us(event.end_ms - event.start_ms);
+        body += ",\"dur\":" + format_timestamp_us(event.end_ms - event.start_ms);
         body += ",\"name\":\"batch " + json_escape(model_name(event.model)) + " x" +
                 std::to_string(event.batch_size) + "\"";
         // submit/e2e are reconstructed from start - lane_wait so the inline
@@ -236,11 +196,11 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
         const double submit_ms = event.start_ms - event.value;
         body += ",\"args\":{\"batch_id\":" + std::to_string(event.id) +
                 ",\"lane\":\"" + lane_name(event.mode) +
-                "\",\"solo_ms\":" + num(event.solo_ms) +
-                ",\"cold_start_ms\":" + num(event.cold_ms) +
-                ",\"lane_wait_ms\":" + num(event.value) +
-                ",\"submit_ms\":" + num(submit_ms) +
-                ",\"e2e_ms\":" + num(event.end_ms - submit_ms) + "}";
+                "\",\"solo_ms\":" + format_number(event.solo_ms) +
+                ",\"cold_start_ms\":" + format_number(event.cold_ms) +
+                ",\"lane_wait_ms\":" + format_number(event.value) +
+                ",\"submit_ms\":" + format_number(submit_ms) +
+                ",\"e2e_ms\":" + format_number(event.end_ms - submit_ms) + "}";
         stream.emit(body);
         break;
       }
@@ -248,7 +208,7 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
         std::string body = common_fields("i", base, /*tid=*/0, event.start_ms);
         body += ",\"s\":\"p\",\"name\":\"";
         body += event.name;
-        body += "\",\"args\":{\"value\":" + num(event.value);
+        body += "\",\"args\":{\"value\":" + format_number(event.value);
         if (event.node >= 0) {
           body += ",\"node\":\"" + json_escape(node_name(event.node)) + "\"";
         }
@@ -267,7 +227,7 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
         if (event.model >= 0) name += ":" + model_name(event.model);
         std::string body = common_fields("C", base, /*tid=*/0, event.start_ms);
         body += ",\"name\":\"" + json_escape(name) +
-                "\",\"args\":{\"value\":" + num(event.value) + "}";
+                "\",\"args\":{\"value\":" + format_number(event.value) + "}";
         stream.emit(body);
         break;
       }
@@ -310,14 +270,14 @@ void emit_profile_lane(EventStream& stream, const Profiler& profiler, int rep) {
     if (stats.calls == 0) continue;
     const double total_ms = static_cast<double>(stats.total_ns) / 1e6;
     std::string body = common_fields("X", pid, /*tid=*/2, cursor_ms);
-    body += ",\"dur\":" + us(total_ms);
+    body += ",\"dur\":" + format_timestamp_us(total_ms);
     body += ",\"name\":\"";
     body += profile_phase_name(static_cast<ProfilePhase>(i));
     body += "\",\"args\":{\"calls\":" + std::to_string(stats.calls) +
             ",\"mean_us\":" +
-            num(static_cast<double>(stats.total_ns) /
+            format_number(static_cast<double>(stats.total_ns) /
                 (1e3 * static_cast<double>(stats.calls))) +
-            ",\"max_us\":" + num(static_cast<double>(stats.max_ns) / 1e3) + "}";
+            ",\"max_us\":" + format_number(static_cast<double>(stats.max_ns) / 1e3) + "}";
     stream.emit(body);
     cursor_ms += total_ms;
   }
@@ -332,16 +292,16 @@ void emit_health_lane(EventStream& stream, const HealthEngine& engine, int rep) 
   emit_metadata(stream, pid, 3, "thread_name", "health");
   for (const AlertRecord& record : engine.alerts()) {
     std::string body = common_fields("X", pid, /*tid=*/3, record.open_ms);
-    body += ",\"dur\":" + us(record.resolve_ms - record.open_ms);
+    body += ",\"dur\":" + format_timestamp_us(record.resolve_ms - record.open_ms);
     body += ",\"name\":\"";
     body += health_detector_name(record.detector);
     body += "\",\"args\":{\"detector\":\"";
     body += health_detector_name(record.detector);
     body += "\",\"model\":\"" + json_escape(model_name(record.model)) +
             "\",\"node\":\"" + json_escape(node_name(record.node)) +
-            "\",\"fire_ms\":" + num(record.fire_ms) +
+            "\",\"fire_ms\":" + format_number(record.fire_ms) +
             ",\"resolved_at_end\":" + (record.resolved_at_end ? "true" : "false") +
-            ",\"peak_severity\":" + num(record.peak_severity) +
+            ",\"peak_severity\":" + format_number(record.peak_severity) +
             ",\"ticks_breached\":" + std::to_string(record.ticks_breached) +
             ",\"blame\":\"" +
             std::string(telemetry::violation_cause_name(record.blame)) +

@@ -1,47 +1,16 @@
 #include "src/obs/export.hpp"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "src/common/log.hpp"
 #include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
+#include "src/obs/text_format.hpp"
 #include "src/telemetry/slo_tracker.hpp"
 
 namespace paldia::obs {
 namespace {
-
-std::string num(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string csv_escape(const std::string& cell) {
   // \r must quote too: a bare CR inside a cell splits the row for any
@@ -97,6 +66,28 @@ std::string derive_trace_path(const std::string& base, const std::string& scenar
   return base.substr(0, dot) + "." + tag + base.substr(dot);
 }
 
+// --- ExportStream -----------------------------------------------------------
+
+ExportStream::ExportStream(std::ostream& out, ExportFormat format)
+    : out_(&out), format_(format), path_("output stream") {}
+
+ExportStream::ExportStream(const std::string& path)
+    : format_(format_for_path(path)),
+      file_(std::make_unique<std::ofstream>(path, std::ios::binary | std::ios::trunc)),
+      path_(path) {
+  if (!*file_) {
+    error_ = "cannot open " + path;
+    file_.reset();
+    return;
+  }
+  out_ = file_.get();
+}
+
+void ExportStream::flush() {
+  out_->flush();
+  if (!*out_ && error_.empty()) error_ = "write failed for " + path_;
+}
+
 // --- MetricsWriter ----------------------------------------------------------
 
 namespace {
@@ -118,22 +109,6 @@ const char* const kMetricsColumns[] = {
 };
 }  // namespace
 
-MetricsWriter::MetricsWriter(std::ostream& out, ExportFormat format)
-    : out_(&out), format_(format) {}
-
-MetricsWriter::MetricsWriter(const std::string& path)
-    : file_(std::make_unique<std::ofstream>(path, std::ios::binary | std::ios::trunc)),
-      format_(format_for_path(path)) {
-  if (!*file_) {
-    error_ = "cannot open " + path;
-    file_.reset();
-    return;
-  }
-  out_ = file_.get();
-}
-
-bool MetricsWriter::ok() const { return out_ != nullptr && error_.empty(); }
-
 void MetricsWriter::write(const telemetry::RunMetrics& metrics,
                           const std::string& figure) {
   if (!ok()) return;
@@ -151,80 +126,69 @@ void MetricsWriter::write(const telemetry::RunMetrics& metrics,
     }
     *out_ << csv_escape(figure) << "," << csv_escape(metrics.scheme) << ","
           << csv_escape(metrics.workload) << "," << csv_escape(metrics.trace) << ","
-          << metrics.requests << "," << num(metrics.slo_compliance) << ","
-          << num(metrics.mean_latency_ms) << "," << num(metrics.p50_latency_ms) << ","
-          << num(metrics.p95_latency_ms) << "," << num(metrics.p99_latency_ms) << ","
-          << num(breakdown.solo_ms) << "," << num(breakdown.queue_ms) << ","
-          << num(breakdown.interference_ms) << "," << num(breakdown.cold_start_ms)
-          << "," << num(metrics.cost) << "," << num(metrics.average_power) << ","
-          << num(metrics.gpu_utilization) << "," << num(metrics.cpu_utilization)
-          << "," << num(metrics.goodput_rps) << "," << num(metrics.offered_rps)
-          << "," << metrics.cold_starts << "," << num(metrics.slo_violations);
-    for (const double count : metrics.violations_by_cause) *out_ << "," << num(count);
-    *out_ << "," << num(metrics.tmax_mape) << "," << num(metrics.tmax_coverage)
-          << "," << num(metrics.rate_mape) << "," << num(metrics.calib_intervals)
-          << "," << num(metrics.tmax_cache_hits) << ","
-          << num(metrics.tmax_cache_misses) << ","
-          << num(metrics.tmax_cache_hit_rate) << "\n";
+          << metrics.requests;
+    for (const double value :
+         {metrics.slo_compliance, metrics.mean_latency_ms, metrics.p50_latency_ms,
+          metrics.p95_latency_ms, metrics.p99_latency_ms, breakdown.solo_ms,
+          breakdown.queue_ms, breakdown.interference_ms, breakdown.cold_start_ms,
+          metrics.cost, metrics.average_power, metrics.gpu_utilization,
+          metrics.cpu_utilization, metrics.goodput_rps, metrics.offered_rps}) {
+      *out_ << "," << format_number(value);
+    }
+    *out_ << "," << metrics.cold_starts << "," << format_number(metrics.slo_violations);
+    for (const double count : metrics.violations_by_cause) {
+      *out_ << "," << format_number(count);
+    }
+    for (const double value :
+         {metrics.tmax_mape, metrics.tmax_coverage, metrics.rate_mape,
+          metrics.calib_intervals, metrics.tmax_cache_hits,
+          metrics.tmax_cache_misses, metrics.tmax_cache_hit_rate}) {
+      *out_ << "," << format_number(value);
+    }
+    *out_ << "\n";
   } else {
     *out_ << "{\"figure\":\"" << json_escape(figure) << "\",\"scheme\":\""
           << json_escape(metrics.scheme) << "\",\"workload\":\""
           << json_escape(metrics.workload) << "\",\"trace\":\""
           << json_escape(metrics.trace) << "\",\"requests\":" << metrics.requests
-          << ",\"slo_compliance\":" << num(metrics.slo_compliance)
-          << ",\"mean_latency_ms\":" << num(metrics.mean_latency_ms)
-          << ",\"p50_latency_ms\":" << num(metrics.p50_latency_ms)
-          << ",\"p95_latency_ms\":" << num(metrics.p95_latency_ms)
-          << ",\"p99_latency_ms\":" << num(metrics.p99_latency_ms)
-          << ",\"p99_breakdown\":{\"latency_ms\":" << num(breakdown.latency_ms)
-          << ",\"solo_ms\":" << num(breakdown.solo_ms)
-          << ",\"queue_ms\":" << num(breakdown.queue_ms)
-          << ",\"interference_ms\":" << num(breakdown.interference_ms)
-          << ",\"cold_start_ms\":" << num(breakdown.cold_start_ms)
+          << ",\"slo_compliance\":" << format_number(metrics.slo_compliance)
+          << ",\"mean_latency_ms\":" << format_number(metrics.mean_latency_ms)
+          << ",\"p50_latency_ms\":" << format_number(metrics.p50_latency_ms)
+          << ",\"p95_latency_ms\":" << format_number(metrics.p95_latency_ms)
+          << ",\"p99_latency_ms\":" << format_number(metrics.p99_latency_ms)
+          << ",\"p99_breakdown\":{\"latency_ms\":" << format_number(breakdown.latency_ms)
+          << ",\"solo_ms\":" << format_number(breakdown.solo_ms)
+          << ",\"queue_ms\":" << format_number(breakdown.queue_ms)
+          << ",\"interference_ms\":" << format_number(breakdown.interference_ms)
+          << ",\"cold_start_ms\":" << format_number(breakdown.cold_start_ms)
           << ",\"samples\":" << breakdown.samples << "}"
-          << ",\"cost\":" << num(metrics.cost)
-          << ",\"average_power\":" << num(metrics.average_power)
-          << ",\"gpu_utilization\":" << num(metrics.gpu_utilization)
-          << ",\"cpu_utilization\":" << num(metrics.cpu_utilization)
-          << ",\"goodput_rps\":" << num(metrics.goodput_rps)
-          << ",\"offered_rps\":" << num(metrics.offered_rps)
+          << ",\"cost\":" << format_number(metrics.cost)
+          << ",\"average_power\":" << format_number(metrics.average_power)
+          << ",\"gpu_utilization\":" << format_number(metrics.gpu_utilization)
+          << ",\"cpu_utilization\":" << format_number(metrics.cpu_utilization)
+          << ",\"goodput_rps\":" << format_number(metrics.goodput_rps)
+          << ",\"offered_rps\":" << format_number(metrics.offered_rps)
           << ",\"cold_starts\":" << metrics.cold_starts
-          << ",\"slo_violations\":" << num(metrics.slo_violations)
+          << ",\"slo_violations\":" << format_number(metrics.slo_violations)
           << ",\"violation_causes\":{";
     for (int cause = 0; cause < telemetry::kViolationCauseCount; ++cause) {
       if (cause > 0) *out_ << ",";
       *out_ << "\"" << telemetry::violation_cause_name(
                            static_cast<telemetry::ViolationCause>(cause))
-            << "\":" << num(metrics.violations_by_cause[cause]);
+            << "\":" << format_number(metrics.violations_by_cause[cause]);
     }
-    *out_ << "},\"calibration\":{\"tmax_mape\":" << num(metrics.tmax_mape)
-          << ",\"tmax_coverage\":" << num(metrics.tmax_coverage)
-          << ",\"rate_mape\":" << num(metrics.rate_mape)
-          << ",\"intervals\":" << num(metrics.calib_intervals)
-          << "},\"tmax_cache\":{\"hits\":" << num(metrics.tmax_cache_hits)
-          << ",\"misses\":" << num(metrics.tmax_cache_misses)
-          << ",\"hit_rate\":" << num(metrics.tmax_cache_hit_rate) << "}}\n";
+    *out_ << "},\"calibration\":{\"tmax_mape\":" << format_number(metrics.tmax_mape)
+          << ",\"tmax_coverage\":" << format_number(metrics.tmax_coverage)
+          << ",\"rate_mape\":" << format_number(metrics.rate_mape)
+          << ",\"intervals\":" << format_number(metrics.calib_intervals)
+          << "},\"tmax_cache\":{\"hits\":" << format_number(metrics.tmax_cache_hits)
+          << ",\"misses\":" << format_number(metrics.tmax_cache_misses)
+          << ",\"hit_rate\":" << format_number(metrics.tmax_cache_hit_rate) << "}}\n";
   }
-  out_->flush();
+  flush();
 }
 
 // --- DecisionLogWriter ------------------------------------------------------
-
-DecisionLogWriter::DecisionLogWriter(std::ostream& out, ExportFormat format)
-    : out_(&out), format_(format) {}
-
-DecisionLogWriter::DecisionLogWriter(const std::string& path)
-    : file_(std::make_unique<std::ofstream>(path, std::ios::binary | std::ios::trunc)),
-      format_(format_for_path(path)) {
-  if (!*file_) {
-    error_ = "cannot open " + path;
-    file_.reset();
-    return;
-  }
-  out_ = file_.get();
-}
-
-bool DecisionLogWriter::ok() const { return out_ != nullptr && error_.empty(); }
 
 void DecisionLogWriter::write(const RunTrace& trace, const std::string& scheme,
                               const std::string& scenario) {
@@ -235,7 +199,7 @@ void DecisionLogWriter::write(const RunTrace& trace, const std::string& scheme,
       write_record(record, static_cast<int>(rep), scheme, scenario);
     }
   }
-  out_->flush();
+  flush();
 }
 
 void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
@@ -257,38 +221,41 @@ void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
     std::string candidates;
     for (const auto& candidate : record.candidates) {
       if (!candidates.empty()) candidates += ";";
-      candidates += node(candidate.node) + ":" + num(candidate.t_max_ms) + ":" +
+      candidates += node(candidate.node) + ":" +
+                    format_number(candidate.t_max_ms) + ":" +
                     (candidate.feasible ? "1" : "0") + ":" +
-                    num(candidate.price_per_hour);
+                    format_number(candidate.price_per_hour);
     }
     *out_ << csv_escape(scheme) << "," << csv_escape(scenario) << "," << rep << ","
-          << num(record.t_ms) << "," << node(record.current) << ","
+          << format_number(record.t_ms) << "," << node(record.current) << ","
           << node(record.raw_choice) << "," << node(record.final_choice) << ","
           << (record.switch_begun ? 1 : 0) << "," << (record.raw_feasible ? 1 : 0)
-          << "," << num(record.raw_t_max_ms) << "," << num(record.best_t_max_ms)
-          << "," << num(record.band_ms) << "," << record.wait_ctr << ","
+          << "," << format_number(record.raw_t_max_ms) << ","
+          << format_number(record.best_t_max_ms) << "," << format_number(record.band_ms)
+          << "," << record.wait_ctr << ","
           << record.downgrade_ctr << "," << record.emergency_ctr << ","
-          << (record.cpu_short_circuit ? 1 : 0) << "," << num(record.predicted_rps)
-          << "," << num(record.observed_rps) << "," << record.pool_size << ","
+          << (record.cpu_short_circuit ? 1 : 0) << ","
+          << format_number(record.predicted_rps) << ","
+          << format_number(record.observed_rps) << "," << record.pool_size << ","
           << record.evaluated_candidates << "," << record.pruned_candidates << ","
           << csv_escape(candidates) << "\n";
   } else {
     *out_ << "{\"scheme\":\"" << json_escape(scheme) << "\",\"scenario\":\""
           << json_escape(scenario) << "\",\"rep\":" << rep
-          << ",\"t_ms\":" << num(record.t_ms) << ",\"current\":\""
+          << ",\"t_ms\":" << format_number(record.t_ms) << ",\"current\":\""
           << node(record.current) << "\",\"chosen\":\"" << node(record.raw_choice)
           << "\",\"final\":\"" << node(record.final_choice)
           << "\",\"switch_begun\":" << (record.switch_begun ? "true" : "false")
           << ",\"feasible\":" << (record.raw_feasible ? "true" : "false")
-          << ",\"t_max_ms\":" << num(record.raw_t_max_ms)
-          << ",\"best_t_max_ms\":" << num(record.best_t_max_ms)
-          << ",\"band_ms\":" << num(record.band_ms)
+          << ",\"t_max_ms\":" << format_number(record.raw_t_max_ms)
+          << ",\"best_t_max_ms\":" << format_number(record.best_t_max_ms)
+          << ",\"band_ms\":" << format_number(record.band_ms)
           << ",\"wait_ctr\":" << record.wait_ctr
           << ",\"downgrade_ctr\":" << record.downgrade_ctr
           << ",\"emergency_ctr\":" << record.emergency_ctr
           << ",\"cpu_short_circuit\":" << (record.cpu_short_circuit ? "true" : "false")
-          << ",\"predicted_rps\":" << num(record.predicted_rps)
-          << ",\"observed_rps\":" << num(record.observed_rps)
+          << ",\"predicted_rps\":" << format_number(record.predicted_rps)
+          << ",\"observed_rps\":" << format_number(record.observed_rps)
           << ",\"pool_size\":" << record.pool_size
           << ",\"evaluated\":" << record.evaluated_candidates
           << ",\"pruned\":" << record.pruned_candidates
@@ -298,9 +265,9 @@ void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
       if (!first) *out_ << ",";
       first = false;
       *out_ << "{\"node\":\"" << node(candidate.node)
-            << "\",\"t_max_ms\":" << num(candidate.t_max_ms)
+            << "\",\"t_max_ms\":" << format_number(candidate.t_max_ms)
             << ",\"feasible\":" << (candidate.feasible ? "true" : "false")
-            << ",\"price_per_hour\":" << num(candidate.price_per_hour)
+            << ",\"price_per_hour\":" << format_number(candidate.price_per_hour)
             << ",\"best_y\":" << candidate.best_y << "}";
     }
     *out_ << "]}\n";
@@ -308,22 +275,6 @@ void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
 }
 
 // --- RollupWriter -----------------------------------------------------------
-
-RollupWriter::RollupWriter(std::ostream& out, ExportFormat format)
-    : out_(&out), format_(format) {}
-
-RollupWriter::RollupWriter(const std::string& path)
-    : file_(std::make_unique<std::ofstream>(path, std::ios::binary | std::ios::trunc)),
-      format_(format_for_path(path)) {
-  if (!*file_) {
-    error_ = "cannot open " + path;
-    file_.reset();
-    return;
-  }
-  out_ = file_.get();
-}
-
-bool RollupWriter::ok() const { return out_ != nullptr && error_.empty(); }
 
 void RollupWriter::write(const RunTrace& trace, const std::string& run) {
   if (!ok()) return;
@@ -334,7 +285,7 @@ void RollupWriter::write(const RunTrace& trace, const std::string& run) {
       write_cell(key, cell, rollup->config(), static_cast<int>(rep), run);
     }
   }
-  out_->flush();
+  flush();
 }
 
 void RollupWriter::write_cell(const RollupKey& key, const RollupCell& cell,
@@ -377,24 +328,25 @@ void RollupWriter::write_cell(const RollupKey& key, const RollupCell& cell,
     std::string pairs;
     for (const auto& [value, count] : hist) {
       if (!pairs.empty()) pairs += ";";
-      pairs += num(value) + ":" + std::to_string(count);
+      pairs += format_number(value) + ":" + std::to_string(count);
     }
     *out_ << csv_escape(run) << "," << rep << "," << key.window << ","
-          << num(window_start) << "," << num(window_start + config.window_ms)
+          << format_number(window_start) << ","
+          << format_number(window_start + config.window_ms)
           << "," << csv_escape(model) << "," << csv_escape(node) << ","
           << cell.completed << "," << cell.violations << "," << cell.unserved;
     for (const std::uint64_t count : cell.causes) *out_ << "," << count;
-    *out_ << "," << latency.count << "," << num(latency.mean_ms) << ","
-          << num(latency.p50_ms) << "," << num(latency.p95_ms) << ","
-          << num(latency.p99_ms) << "," << num(latency.max_ms) << ","
-          << csv_escape(pairs) << "," << num(queue_mean) << ","
-          << cell.queue_depth_samples << "," << num(in_flight_mean) << ","
+    *out_ << "," << latency.count << "," << format_number(latency.mean_ms) << ","
+          << format_number(latency.p50_ms) << "," << format_number(latency.p95_ms) << ","
+          << format_number(latency.p99_ms) << "," << format_number(latency.max_ms) << ","
+          << csv_escape(pairs) << "," << format_number(queue_mean) << ","
+          << cell.queue_depth_samples << "," << format_number(in_flight_mean) << ","
           << cell.in_flight_samples << "\n";
   } else {
     *out_ << "{\"run\":\"" << json_escape(run) << "\",\"rep\":" << rep
           << ",\"window\":" << key.window
-          << ",\"window_start_ms\":" << num(window_start)
-          << ",\"window_end_ms\":" << num(window_start + config.window_ms)
+          << ",\"window_start_ms\":" << format_number(window_start)
+          << ",\"window_end_ms\":" << format_number(window_start + config.window_ms)
           << ",\"model\":\"" << json_escape(model) << "\",\"node\":\""
           << json_escape(node) << "\",\"completed\":" << cell.completed
           << ",\"violations\":" << cell.violations
@@ -406,42 +358,26 @@ void RollupWriter::write_cell(const RollupKey& key, const RollupCell& cell,
             << "\":" << cell.causes[static_cast<std::size_t>(cause)];
     }
     *out_ << "},\"latency\":{\"count\":" << latency.count
-          << ",\"mean_ms\":" << num(latency.mean_ms)
-          << ",\"p50_ms\":" << num(latency.p50_ms)
-          << ",\"p95_ms\":" << num(latency.p95_ms)
-          << ",\"p99_ms\":" << num(latency.p99_ms)
-          << ",\"max_ms\":" << num(latency.max_ms) << "},\"hist\":[";
+          << ",\"mean_ms\":" << format_number(latency.mean_ms)
+          << ",\"p50_ms\":" << format_number(latency.p50_ms)
+          << ",\"p95_ms\":" << format_number(latency.p95_ms)
+          << ",\"p99_ms\":" << format_number(latency.p99_ms)
+          << ",\"max_ms\":" << format_number(latency.max_ms) << "},\"hist\":[";
     bool first = true;
     for (const auto& [value, count] : hist) {
       if (!first) *out_ << ",";
       first = false;
-      *out_ << "[" << num(value) << "," << count << "]";
+      *out_ << "[" << format_number(value) << "," << count << "]";
     }
-    *out_ << "],\"queue_depth_mean\":" << num(queue_mean)
+    *out_ << "],\"queue_depth_mean\":" << format_number(queue_mean)
           << ",\"queue_depth_samples\":" << cell.queue_depth_samples
-          << ",\"in_flight_mean\":" << num(in_flight_mean)
+          << ",\"in_flight_mean\":" << format_number(in_flight_mean)
           << ",\"in_flight_samples\":" << cell.in_flight_samples << "}\n";
   }
-  out_->flush();
+  flush();
 }
 
 // --- AlertWriter ------------------------------------------------------------
-
-AlertWriter::AlertWriter(std::ostream& out, ExportFormat format)
-    : out_(&out), format_(format) {}
-
-AlertWriter::AlertWriter(const std::string& path)
-    : file_(std::make_unique<std::ofstream>(path, std::ios::binary | std::ios::trunc)),
-      format_(format_for_path(path)) {
-  if (!*file_) {
-    error_ = "cannot open " + path;
-    file_.reset();
-    return;
-  }
-  out_ = file_.get();
-}
-
-bool AlertWriter::ok() const { return out_ != nullptr && error_.empty(); }
 
 void AlertWriter::write(const RunTrace& trace, const std::string& run) {
   if (!ok()) return;
@@ -453,7 +389,7 @@ void AlertWriter::write(const RunTrace& trace, const std::string& run) {
     }
     write_summary(*engine, static_cast<int>(rep), run);
   }
-  out_->flush();
+  flush();
 }
 
 void AlertWriter::write_header() {
@@ -482,25 +418,25 @@ void AlertWriter::write_alert(const AlertRecord& record, int rep,
     write_header();
     *out_ << csv_escape(run) << "," << rep << ",alert," << detector << ","
           << csv_escape(model) << "," << csv_escape(node) << ","
-          << num(record.open_ms) << "," << num(record.fire_ms) << ","
-          << num(record.resolve_ms) << "," << (record.resolved_at_end ? 1 : 0)
-          << "," << num(record.peak_severity) << "," << record.ticks_breached
+          << format_number(record.open_ms) << "," << format_number(record.fire_ms) << ","
+          << format_number(record.resolve_ms) << "," << (record.resolved_at_end ? 1 : 0)
+          << "," << format_number(record.peak_severity) << "," << record.ticks_breached
           << "," << blame << "," << record.violations << "," << record.completed
           << ",,,\n";
   } else {
     *out_ << "{\"run\":\"" << json_escape(run) << "\",\"rep\":" << rep
           << ",\"row\":\"alert\",\"detector\":\"" << detector
           << "\",\"model\":\"" << json_escape(model) << "\",\"node\":\""
-          << json_escape(node) << "\",\"open_ms\":" << num(record.open_ms)
-          << ",\"fire_ms\":" << num(record.fire_ms)
-          << ",\"resolve_ms\":" << num(record.resolve_ms)
+          << json_escape(node) << "\",\"open_ms\":" << format_number(record.open_ms)
+          << ",\"fire_ms\":" << format_number(record.fire_ms)
+          << ",\"resolve_ms\":" << format_number(record.resolve_ms)
           << ",\"resolved_at_end\":" << (record.resolved_at_end ? "true" : "false")
-          << ",\"peak_severity\":" << num(record.peak_severity)
+          << ",\"peak_severity\":" << format_number(record.peak_severity)
           << ",\"ticks_breached\":" << record.ticks_breached << ",\"blame\":\""
           << blame << "\",\"violations\":" << record.violations
           << ",\"completed\":" << record.completed << "}\n";
   }
-  out_->flush();
+  flush();
 }
 
 void AlertWriter::write_summary(const HealthEngine& engine, int rep,
@@ -509,17 +445,17 @@ void AlertWriter::write_summary(const HealthEngine& engine, int rep,
     write_header();
     *out_ << csv_escape(run) << "," << rep << ",summary,,,,,,,,,,,"
           << engine.violations() << "," << engine.completions() << ","
-          << num(engine.first_violation_ms()) << "," << engine.evaluations()
+          << format_number(engine.first_violation_ms()) << "," << engine.evaluations()
           << "," << engine.alerts().size() << "\n";
   } else {
     *out_ << "{\"run\":\"" << json_escape(run) << "\",\"rep\":" << rep
           << ",\"row\":\"summary\",\"completed\":" << engine.completions()
           << ",\"violations\":" << engine.violations()
-          << ",\"first_violation_ms\":" << num(engine.first_violation_ms())
+          << ",\"first_violation_ms\":" << format_number(engine.first_violation_ms())
           << ",\"evaluations\":" << engine.evaluations()
           << ",\"alerts\":" << engine.alerts().size() << "}\n";
   }
-  out_->flush();
+  flush();
 }
 
 }  // namespace paldia::obs

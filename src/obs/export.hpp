@@ -23,38 +23,53 @@ enum class ExportFormat { kJsonl, kCsv };
 /// ".csv" -> CSV, everything else -> JSONL.
 ExportFormat format_for_path(const std::string& path);
 
-/// Streaming RunMetrics writer (one row per completed scheme run).
-class MetricsWriter {
+/// The destination the streaming writers below share: a file they open or a
+/// caller's stream, and the first error it hit. Every write() ends with a
+/// flush, so a killed sweep keeps its completed rows. A stream that fails
+/// to take the rows (disk full, closed pipe) sets error() to "write failed
+/// for <path>", and the writer writes nothing more.
+class ExportStream {
  public:
-  /// Write to an already-open stream (testing / composition).
-  MetricsWriter(std::ostream& out, ExportFormat format);
-  /// Open `path` (truncating) and infer the format from its extension.
-  explicit MetricsWriter(const std::string& path);
-
-  bool ok() const;
+  bool ok() const { return out_ != nullptr && error_.empty(); }
   const std::string& error() const { return error_; }
+
+ protected:
+  /// Write to an already-open stream (testing / composition).
+  ExportStream(std::ostream& out, ExportFormat format);
+  /// Open `path` (truncating) and infer the format from its extension.
+  explicit ExportStream(const std::string& path);
+
+  /// Flush the rows written so far; a failed stream becomes the error.
+  void flush();
+
+  std::ostream* out_ = nullptr;
+  ExportFormat format_ = ExportFormat::kJsonl;
+  bool header_written_ = false;
+
+ private:
+  std::unique_ptr<std::ofstream> file_;
+  std::string path_;
+  std::string error_;
+};
+
+/// Streaming RunMetrics writer (one row per completed scheme run).
+class MetricsWriter : public ExportStream {
+ public:
+  MetricsWriter(std::ostream& out, ExportFormat format) : ExportStream(out, format) {}
+  explicit MetricsWriter(const std::string& path) : ExportStream(path) {}
 
   /// Append one row. `figure` tags the row with the emitting driver so
   /// multi-figure sweeps can share one output file.
   void write(const telemetry::RunMetrics& metrics, const std::string& figure = "");
-
- private:
-  std::unique_ptr<std::ofstream> file_;
-  std::ostream* out_ = nullptr;
-  ExportFormat format_ = ExportFormat::kJsonl;
-  bool header_written_ = false;
-  std::string error_;
 };
 
 /// Streaming scheduler-decision-log writer: one row per monitor tick per
 /// repetition, in repetition order (deterministic across thread counts).
-class DecisionLogWriter {
+class DecisionLogWriter : public ExportStream {
  public:
-  DecisionLogWriter(std::ostream& out, ExportFormat format);
-  explicit DecisionLogWriter(const std::string& path);
-
-  bool ok() const;
-  const std::string& error() const { return error_; }
+  DecisionLogWriter(std::ostream& out, ExportFormat format)
+      : ExportStream(out, format) {}
+  explicit DecisionLogWriter(const std::string& path) : ExportStream(path) {}
 
   /// Append all decision records of a completed run.
   void write(const RunTrace& trace, const std::string& scheme,
@@ -63,12 +78,6 @@ class DecisionLogWriter {
  private:
   void write_record(const DecisionRecord& record, int rep, const std::string& scheme,
                     const std::string& scenario);
-
-  std::unique_ptr<std::ofstream> file_;
-  std::ostream* out_ = nullptr;
-  ExportFormat format_ = ExportFormat::kJsonl;
-  bool header_written_ = false;
-  std::string error_;
 };
 
 /// Streaming rollup writer (--rollup-out): one row per (repetition, window,
@@ -76,13 +85,10 @@ class DecisionLogWriter {
 /// byte-identical however many pool threads or event shards ran the reps.
 /// JSONL rows are what `paldia-analyze --rollup` consumes; the sparse
 /// "hist" bucket pairs round-trip each cell's latency sketch exactly.
-class RollupWriter {
+class RollupWriter : public ExportStream {
  public:
-  RollupWriter(std::ostream& out, ExportFormat format);
-  explicit RollupWriter(const std::string& path);
-
-  bool ok() const;
-  const std::string& error() const { return error_; }
+  RollupWriter(std::ostream& out, ExportFormat format) : ExportStream(out, format) {}
+  explicit RollupWriter(const std::string& path) : ExportStream(path) {}
 
   /// Append all rollup cells of a completed run. `run` is the report label
   /// ("scenario / scheme") that rollup-only analysis groups rows by.
@@ -91,12 +97,6 @@ class RollupWriter {
  private:
   void write_cell(const RollupKey& key, const RollupCell& cell,
                   const RollupConfig& config, int rep, const std::string& run);
-
-  std::unique_ptr<std::ofstream> file_;
-  std::ostream* out_ = nullptr;
-  ExportFormat format_ = ExportFormat::kJsonl;
-  bool header_written_ = false;
-  std::string error_;
 };
 
 /// Streaming alert/incident writer (--alerts-out): per repetition, every
@@ -104,13 +104,10 @@ class RollupWriter {
 /// the rep's ground truth (completions, violations, first-violation time,
 /// evaluation count) — everything `paldia-analyze --alerts` needs to
 /// rebuild the report's "health" section offline, byte for byte.
-class AlertWriter {
+class AlertWriter : public ExportStream {
  public:
-  AlertWriter(std::ostream& out, ExportFormat format);
-  explicit AlertWriter(const std::string& path);
-
-  bool ok() const;
-  const std::string& error() const { return error_; }
+  AlertWriter(std::ostream& out, ExportFormat format) : ExportStream(out, format) {}
+  explicit AlertWriter(const std::string& path) : ExportStream(path) {}
 
   /// Append all incidents of a completed run. `run` is the report label
   /// ("scenario / scheme") that alert-stream analysis groups rows by.
@@ -120,12 +117,6 @@ class AlertWriter {
   void write_header();
   void write_alert(const AlertRecord& record, int rep, const std::string& run);
   void write_summary(const HealthEngine& engine, int rep, const std::string& run);
-
-  std::unique_ptr<std::ofstream> file_;
-  std::ostream* out_ = nullptr;
-  ExportFormat format_ = ExportFormat::kJsonl;
-  bool header_written_ = false;
-  std::string error_;
 };
 
 /// "out.json" + ("azure", "Paldia") -> "out.azure_Paldia.json": one trace

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <ostream>
 #include <unordered_map>
@@ -13,6 +10,7 @@
 #include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
 #include "src/models/zoo.hpp"
+#include "src/obs/text_format.hpp"
 
 namespace paldia::obs {
 namespace {
@@ -22,36 +20,6 @@ using telemetry::ViolationCause;
 constexpr int kPidsPerRep = 1 + hw::kNodeTypeCount;  // chrome_trace layout
 constexpr std::string_view kUnservedPrefix = "unserved:";
 constexpr std::string_view kSampledOutPrefix = "sampled_out:";
-
-std::string num(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 int model_index(std::string_view name) {
   for (int i = 0; i < models::kModelCount; ++i) {
@@ -146,9 +114,9 @@ class RepBuilder {
     if (opens || name == "switch_active") {
       // BlackoutWindows needs its opens and closes in time order.
       if (t_ms < last_blackout_ms_ && disorder_.empty()) {
-        disorder_ = std::string(name) + " at " + num(t_ms) +
+        disorder_ = std::string(name) + " at " + format_number(t_ms) +
                     " ms follows a blackout instant at " +
-                    num(last_blackout_ms_) + " ms";
+                    format_number(last_blackout_ms_) + " ms";
       }
       last_blackout_ms_ = t_ms;
       if (opens) {
@@ -207,20 +175,6 @@ class RepBuilder {
 };
 
 }  // namespace
-
-double quantize_timestamp(TimeMs ms) {
-  char buf[48];
-  const double value = std::isfinite(ms) ? ms * 1000.0 : 0.0;
-  std::snprintf(buf, sizeof(buf), "%.3f", value);
-  return std::strtod(buf, nullptr) / 1000.0;
-}
-
-double quantize_number(double value) {
-  if (!std::isfinite(value)) return 0.0;
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return std::strtod(buf, nullptr);
-}
 
 // --- Inline producer --------------------------------------------------------
 
@@ -1085,11 +1039,12 @@ void write_causes(std::ostream& out, const telemetry::ViolationCauseCounts& caus
 
 void write_latency(std::ostream& out, const QuantileSketch& sketch) {
   const SketchSummary summary = sketch.summary();
-  out << "{\"count\":" << summary.count << ",\"mean_ms\":" << num(summary.mean_ms)
-      << ",\"p50_ms\":" << num(summary.p50_ms)
-      << ",\"p95_ms\":" << num(summary.p95_ms)
-      << ",\"p99_ms\":" << num(summary.p99_ms)
-      << ",\"max_ms\":" << num(summary.max_ms) << "}";
+  out << "{\"count\":" << summary.count
+      << ",\"mean_ms\":" << format_number(summary.mean_ms)
+      << ",\"p50_ms\":" << format_number(summary.p50_ms)
+      << ",\"p95_ms\":" << format_number(summary.p95_ms)
+      << ",\"p99_ms\":" << format_number(summary.p99_ms)
+      << ",\"max_ms\":" << format_number(summary.max_ms) << "}";
 }
 
 void write_bucket(std::ostream& out, const char* key, const ReportBucket& bucket) {
@@ -1119,7 +1074,7 @@ void write_report_json(std::ostream& out, const std::vector<AnalysisReport>& run
         << ",\"violations\":" << report.total.violations
         << ",\"unserved\":" << report.unserved
         << ",\"sampled_out\":" << report.sampled_out
-        << ",\"compliance\":" << num(report.compliance) << ",\"causes\":";
+        << ",\"compliance\":" << format_number(report.compliance) << ",\"causes\":";
     write_causes(out, report.total.causes);
     out << ",\"latency\":";
     write_latency(out, report.total.latency);
@@ -1138,8 +1093,8 @@ void write_report_json(std::ostream& out, const std::vector<AnalysisReport>& run
     const CalibrationSummary& calibration = report.calibration;
     out << ",\"calibration\":{\"intervals\":" << calibration.intervals_total
         << ",\"observed\":" << calibration.intervals_observed
-        << ",\"tmax_mape\":" << num(calibration.tmax_mape)
-        << ",\"tmax_coverage\":" << num(calibration.tmax_coverage)
+        << ",\"tmax_mape\":" << format_number(calibration.tmax_mape)
+        << ",\"tmax_coverage\":" << format_number(calibration.tmax_coverage)
         << ",\"per_node\":[";
     for (std::size_t i = 0; i < calibration.per_node.size(); ++i) {
       const NodeCalibration& row = calibration.per_node[i];
@@ -1148,23 +1103,26 @@ void write_report_json(std::ostream& out, const std::vector<AnalysisReport>& run
           << json_escape(row.node >= 0 && row.node < hw::kNodeTypeCount
                              ? std::string(hw::node_type_name(hw::NodeType(row.node)))
                              : std::to_string(row.node))
-          << "\",\"intervals\":" << row.intervals << ",\"mape\":" << num(row.mape)
+          << "\",\"intervals\":" << row.intervals
+          << ",\"mape\":" << format_number(row.mape)
           << ",\"feasible_intervals\":" << row.feasible_intervals
-          << ",\"coverage\":" << num(row.coverage)
-          << ",\"mean_predicted_ms\":" << num(row.mean_predicted_ms)
-          << ",\"mean_observed_ms\":" << num(row.mean_observed_ms) << "}";
+          << ",\"coverage\":" << format_number(row.coverage)
+          << ",\"mean_predicted_ms\":" << format_number(row.mean_predicted_ms)
+          << ",\"mean_observed_ms\":" << format_number(row.mean_observed_ms) << "}";
     }
     out << "],\"per_y_split\":[";
     for (std::size_t i = 0; i < calibration.per_y_split.size(); ++i) {
       const YSplitCalibration& row = calibration.per_y_split[i];
       if (i > 0) out << ",";
       out << "{\"best_y\":" << row.best_y << ",\"intervals\":" << row.intervals
-          << ",\"mape\":" << num(row.mape) << "}";
+          << ",\"mape\":" << format_number(row.mape) << "}";
     }
     out << "],\"rate\":{\"pairs\":" << calibration.rate.pairs
-        << ",\"mape\":" << num(calibration.rate.mape)
-        << ",\"mean_predicted_rps\":" << num(calibration.rate.mean_predicted_rps)
-        << ",\"mean_observed_rps\":" << num(calibration.rate.mean_observed_rps)
+        << ",\"mape\":" << format_number(calibration.rate.mape)
+        << ",\"mean_predicted_rps\":"
+        << format_number(calibration.rate.mean_predicted_rps)
+        << ",\"mean_observed_rps\":"
+        << format_number(calibration.rate.mean_observed_rps)
         << "}}";
 
     out << ",\"node_usage\":[";
@@ -1172,14 +1130,15 @@ void write_report_json(std::ostream& out, const std::vector<AnalysisReport>& run
       const NodeUsage& row = report.node_usage[i];
       if (i > 0) out << ",";
       out << "{\"node\":\"" << json_escape(row.label)
-          << "\",\"batches\":" << row.batches << ",\"busy_ms\":" << num(row.busy_ms)
-          << ",\"occupancy\":" << num(row.occupancy) << "}";
+          << "\",\"batches\":" << row.batches
+          << ",\"busy_ms\":" << format_number(row.busy_ms)
+          << ",\"occupancy\":" << format_number(row.occupancy) << "}";
     }
     out << "],\"switch_timeline\":[";
     for (std::size_t i = 0; i < report.switch_timeline.size(); ++i) {
       const TimelineEntry& entry = report.switch_timeline[i];
       if (i > 0) out << ",";
-      out << "{\"rep\":" << entry.rep << ",\"t_ms\":" << num(entry.t_ms)
+      out << "{\"rep\":" << entry.rep << ",\"t_ms\":" << format_number(entry.t_ms)
           << ",\"event\":\"" << json_escape(entry.event) << "\",\"node\":\""
           << json_escape(entry.node) << "\"}";
     }
@@ -1190,13 +1149,13 @@ void write_report_json(std::ostream& out, const std::vector<AnalysisReport>& run
       const HealthReport& health = report.health;
       out << ",\"health\":{\"alerts\":" << health.alerts.size()
           << ",\"false_positives\":" << health.false_positives
-          << ",\"false_positive_rate\":" << num(health.false_positive_rate)
+          << ",\"false_positive_rate\":" << format_number(health.false_positive_rate)
           << ",\"evaluations\":" << health.evaluations
           << ",\"completed\":" << health.completed
           << ",\"violations\":" << health.violations
-          << ",\"first_violation_ms\":" << num(health.first_violation_ms)
-          << ",\"first_fire_ms\":" << num(health.first_fire_ms)
-          << ",\"mttd_ms\":" << num(health.mttd_ms) << ",\"incidents\":[";
+          << ",\"first_violation_ms\":" << format_number(health.first_violation_ms)
+          << ",\"first_fire_ms\":" << format_number(health.first_fire_ms)
+          << ",\"mttd_ms\":" << format_number(health.mttd_ms) << ",\"incidents\":[";
       for (std::size_t i = 0; i < health.alerts.size(); ++i) {
         const HealthAlert& alert = health.alerts[i];
         if (i > 0) out << ",";
@@ -1204,12 +1163,12 @@ void write_report_json(std::ostream& out, const std::vector<AnalysisReport>& run
             << json_escape(alert.detector) << "\",\"model\":\""
             << json_escape(alert.model) << "\",\"node\":\""
             << json_escape(alert.node)
-            << "\",\"open_ms\":" << num(alert.open_ms)
-            << ",\"fire_ms\":" << num(alert.fire_ms)
-            << ",\"resolve_ms\":" << num(alert.resolve_ms)
+            << "\",\"open_ms\":" << format_number(alert.open_ms)
+            << ",\"fire_ms\":" << format_number(alert.fire_ms)
+            << ",\"resolve_ms\":" << format_number(alert.resolve_ms)
             << ",\"resolved_at_end\":"
             << (alert.resolved_at_end ? "true" : "false")
-            << ",\"peak_severity\":" << num(alert.peak_severity)
+            << ",\"peak_severity\":" << format_number(alert.peak_severity)
             << ",\"ticks_breached\":" << alert.ticks_breached
             << ",\"blame\":\"" << json_escape(alert.blame)
             << "\",\"violations\":" << alert.violations
@@ -1226,9 +1185,9 @@ void write_report_json(std::ostream& out, const std::vector<AnalysisReport>& run
         if (i > 0) out << ",";
         out << "{\"phase\":\"" << json_escape(row.phase)
             << "\",\"calls\":" << row.calls
-            << ",\"total_ms\":" << num(row.total_ms)
-            << ",\"mean_us\":" << num(row.mean_us)
-            << ",\"max_us\":" << num(row.max_us) << "}";
+            << ",\"total_ms\":" << format_number(row.total_ms)
+            << ",\"mean_us\":" << format_number(row.mean_us)
+            << ",\"max_us\":" << format_number(row.max_us) << "}";
       }
       out << "]";
     }

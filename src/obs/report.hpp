@@ -10,9 +10,10 @@
 //     (the `paldia-analyze` tool).
 // Both produce the same RunData and share analyze(), so the offline report
 // reproduces the inline numbers exactly. To make that parity *byte*-exact,
-// the inline extractor quantizes every value through the exporter's textual
-// formats (quantize_timestamp / quantize_number below) — the same
-// snprintf/strtod round trip a file read performs.
+// the inline extractor passes every value through quantize_timestamp /
+// quantize_number (src/obs/text_format.hpp), each of which returns exactly
+// the double a reader parses from the exporter's text for that value
+// (pinned by the Quantize suite in tests/obs/report_test.cpp).
 #pragma once
 
 #include <array>
@@ -33,12 +34,6 @@
 #include "src/telemetry/slo_tracker.hpp"
 
 namespace paldia::obs {
-
-/// ms value -> the double a reader recovers from the trace file's "%.3f"
-/// microsecond timestamp field.
-double quantize_timestamp(TimeMs ms);
-/// value -> the double a reader recovers from a "%.10g" numeric field.
-double quantize_number(double value);
 
 /// Everything analyze() needs about one repetition, in exporter-quantized
 /// form (see header comment).

@@ -2,11 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <vector>
+
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 
 namespace paldia {
 namespace {
+
+constexpr std::array<double, 6> kProbes = {0.0, 1e-9, 0.5, 0.95, 0.99, 1.0};
+
+/// The reference for quantile(): the bucket-by-bucket walk from before the
+/// block totals — the first non-empty bucket whose cumulative count reaches
+/// ceil(q * count), clamped into [min, max] — over the raw bucket counts.
+double linear_quantile(const Histogram& h, double q) {
+  if (h.count() == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const auto target =
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(h.count())));
+  std::uint64_t seen = 0;
+  for (const auto& [value, count] : h.nonzero_buckets()) {
+    seen += count;
+    if (seen >= target) return std::clamp(value, h.min(), h.max());
+  }
+  return h.max();
+}
+
+/// Every probe through quantile() and quantiles() equals the linear walk.
+void expect_linear_quantiles(const Histogram& h) {
+  const std::vector<double> batched = h.quantiles(kProbes);
+  for (std::size_t i = 0; i < kProbes.size(); ++i) {
+    const double expected = linear_quantile(h, kProbes[i]);
+    EXPECT_EQ(h.quantile(kProbes[i]), expected) << "q=" << kProbes[i];
+    EXPECT_EQ(batched[i], expected) << "q=" << kProbes[i];
+  }
+}
 
 TEST(Histogram, EmptyHistogram) {
   Histogram h;
@@ -138,6 +173,75 @@ TEST(Histogram, QuantileClampedToObservedRange) {
   h.add(200.0);
   EXPECT_GE(h.quantile(0.0), 100.0 - Histogram::kLinearBucketMs);
   EXPECT_LE(h.quantile(1.0), 200.0 + Histogram::kLinearBucketMs);
+}
+
+TEST(Histogram, QuantilesMatchTheLinearWalkOnEdgeCases) {
+  Histogram empty;
+  expect_linear_quantiles(empty);
+  EXPECT_EQ(empty.quantiles(kProbes), std::vector<double>(kProbes.size(), 0.0));
+
+  Histogram single;
+  single.add(7.3, 5);
+  expect_linear_quantiles(single);
+
+  // Every sample in the last, partial block of buckets (the exponential
+  // region's top) and beyond the trackable range, which clamps into the
+  // last bucket.
+  Histogram tail;
+  for (const double v : {150'000.0, 200'000.0, 299'999.0, 300'000.0, 1e6, 1e9}) {
+    tail.add(v, 3);
+    expect_linear_quantiles(tail);
+  }
+
+  // Negative samples land in bucket 0 and clamp to the observed range.
+  Histogram negative;
+  negative.add(-5.0, 2);
+  expect_linear_quantiles(negative);
+  negative.add(-0.5);
+  negative.add(40.0);
+  expect_linear_quantiles(negative);
+}
+
+TEST(Histogram, RandomAddMergeClearMatchesTheLinearWalk) {
+  // Each histogram's samples since its last clear (value -> count), so a
+  // fresh histogram fed the same samples shows what the buckets must hold.
+  using Samples = std::map<double, std::uint64_t>;
+  Rng rng(20240514);
+  const auto draw_value = [&rng] {
+    switch (rng.uniform_int(0, 4)) {
+      case 0: return rng.uniform(0.0, 512.0);                   // linear region
+      case 1: return rng.uniform(512.0, 300'000.0);             // exponential
+      case 2: return rng.uniform(150'000.0, 400'000.0);         // last block, beyond
+      case 3: return -rng.uniform(0.0, 10.0);                   // negative
+      default: return std::floor(rng.uniform(0.0, 64.0)) * 16.0;  // block edges
+    }
+  };
+  std::array<Histogram, 3> histograms;
+  std::array<Samples, 3> samples;
+  for (int step = 0; step < 3'000; ++step) {
+    const auto h = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    const int op = rng.uniform_int(0, 19);
+    if (op == 0) {
+      histograms[h].clear();
+      samples[h].clear();
+    } else if (op == 1) {
+      const auto other = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      if (other == h) continue;
+      histograms[h].merge(histograms[other]);
+      for (const auto& [value, count] : samples[other]) samples[h][value] += count;
+    } else {
+      const double value = draw_value();
+      const auto count = static_cast<std::uint64_t>(rng.uniform_int(1, 4));
+      histograms[h].add(value, count);
+      samples[h][value] += count;
+    }
+    expect_linear_quantiles(histograms[h]);
+    Histogram fresh;
+    for (const auto& [value, count] : samples[h]) fresh.add(value, count);
+    ASSERT_EQ(histograms[h].nonzero_buckets(), fresh.nonzero_buckets()) << "step " << step;
+    ASSERT_EQ(histograms[h].count(), fresh.count());
+    if (HasFailure()) break;
+  }
 }
 
 }  // namespace

@@ -8,14 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/json.hpp"
 #include "src/obs/chrome_trace.hpp"
+#include "src/obs/text_format.hpp"
 #include "src/telemetry/slo_tracker.hpp"
 
 namespace paldia::obs {
@@ -39,6 +45,157 @@ TEST(Quantize, NumberIsIdempotentAndSanitizesNonFinite) {
   }
   EXPECT_DOUBLE_EQ(quantize_number(std::numeric_limits<double>::infinity()), 0.0);
   EXPECT_DOUBLE_EQ(quantize_number(std::nan("")), 0.0);
+}
+
+// The reference side of the quantizer contract: print with snprintf, parse
+// with strtod (into a buffer that holds any double's "%.3f").
+std::string printf_timestamp_us(double ms) {
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.3f", std::isfinite(ms) ? ms * 1000.0 : 0.0);
+  return buf;
+}
+
+std::string printf_number(double value) {
+  if (!std::isfinite(value)) return "0";
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.10g", value);
+  return buf;
+}
+
+double round_trip_timestamp(double ms) {
+  return std::strtod(printf_timestamp_us(ms).c_str(), nullptr) / 1000.0;
+}
+
+double round_trip_number(double value) {
+  if (!std::isfinite(value)) return 0.0;
+  return std::strtod(printf_number(value).c_str(), nullptr);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
+
+/// The whole contract for one input: the writers print exactly what printf
+/// prints, and each quantizer returns, bit for bit, both the parse of the
+/// writer's text and the old snprintf/strtod round trip.
+::testing::AssertionResult matches_text(double x) {
+  const auto hex = [x] {
+    char text[64];
+    std::snprintf(text, sizeof(text), "%a (%.17g)", x, x);
+    return std::string(text);
+  };
+  const std::string us_text = format_timestamp_us(x);
+  if (us_text != printf_timestamp_us(x)) {
+    return ::testing::AssertionFailure()
+           << "format_timestamp_us(" << hex() << ") = " << us_text << ", printf "
+           << printf_timestamp_us(x);
+  }
+  const std::string number_text = format_number(x);
+  if (number_text != printf_number(x)) {
+    return ::testing::AssertionFailure() << "format_number(" << hex() << ") = "
+                                         << number_text << ", printf "
+                                         << printf_number(x);
+  }
+  const double ts = quantize_timestamp(x);
+  if (!same_bits(ts, std::strtod(us_text.c_str(), nullptr) / 1000.0) ||
+      !same_bits(ts, round_trip_timestamp(x))) {
+    return ::testing::AssertionFailure()
+           << "quantize_timestamp(" << hex() << ") = " << ts << ", text "
+           << round_trip_timestamp(x);
+  }
+  const double number = quantize_number(x);
+  if (!same_bits(number, std::strtod(number_text.c_str(), nullptr)) ||
+      !same_bits(number, round_trip_number(x))) {
+    return ::testing::AssertionFailure()
+           << "quantize_number(" << hex() << ") = " << number << ", text "
+           << round_trip_number(x);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Quantize, MatchesTextRoundTripOnSeededDoubles) {
+  // Log-uniform over 1e-16..1e13 ms, both signs: inside and outside both
+  // closed-form ranges (|us| < 2^52 / 1000, 1e-13 <= |x| < 1e10).
+  std::mt19937_64 rng(20240514);
+  std::uniform_real_distribution<double> exponent(-16.0, 13.0);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double x = std::pow(10.0, exponent(rng)) * ((rng() & 1) != 0 ? -1.0 : 1.0);
+    ASSERT_TRUE(matches_text(x));
+  }
+}
+
+TEST(Quantize, MatchesTextRoundTripOnSpecialValues) {
+  using limits = std::numeric_limits<double>;
+  for (const double x :
+       {0.0, -0.0, limits::denorm_min(), -limits::denorm_min(),
+        limits::min() / 3.0, -limits::min() / 3.0, limits::min(), -limits::min(),
+        limits::epsilon(), limits::max(), limits::lowest(), limits::quiet_NaN(),
+        -limits::quiet_NaN(), limits::infinity(), -limits::infinity(), 1e-300,
+        -4e-4, 4e-7, -4e-7, 5e-7, -5e-7, 1e300}) {
+    EXPECT_TRUE(matches_text(x));
+  }
+  // A negative value that prints as zero keeps its sign, as strtod does.
+  EXPECT_TRUE(std::signbit(quantize_timestamp(-1e-9)));
+  EXPECT_TRUE(std::signbit(quantize_number(-0.0)));
+}
+
+TEST(Quantize, ExactTiesRoundToEven) {
+  std::mt19937_64 rng(7);
+  // "%.3f" ties: odd multiples of 1/16 us, whose ns value ends in .5.
+  int timestamp_ties = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const auto odd = static_cast<double>(2 * (rng() % 100'000'000) + 1);
+    const double us = odd / 16.0 * ((i & 1) != 0 ? -1.0 : 1.0);
+    // Inputs in ms around us / 1000 whose product ms * 1000 is the tie.
+    double ms = std::nextafter(std::nextafter(us / 1000.0, 0.0), 0.0);
+    for (int k = 0; k < 5; ++k, ms = std::nextafter(ms, 2.0 * us)) {
+      if (ms * 1000.0 != us) continue;
+      ++timestamp_ties;
+      ASSERT_TRUE(matches_text(ms));
+    }
+  }
+  EXPECT_GT(timestamp_ties, 10'000);
+  // "%.10g" ties: odd multiples of 2^-(s+1) in [10^(9-s), 10^(10-s)) print
+  // their tenth significant digit followed by an exact 5 (s = 0: k + 0.5).
+  for (int s = 0; s <= 13; ++s) {
+    const double step = std::ldexp(1.0, -(s + 1));
+    const double lo = std::pow(10.0, 9 - s);
+    std::uniform_real_distribution<double> in_range(lo, 10.0 * lo);
+    for (int i = 0; i < 2'000; ++i) {
+      double x = std::floor(in_range(rng) / (2.0 * step)) * 2.0 * step + step;
+      if (x < lo || x >= 10.0 * lo) continue;
+      if ((i & 1) != 0) x = -x;
+      ASSERT_TRUE(matches_text(x));
+    }
+  }
+}
+
+TEST(Quantize, MatchesTextRoundTripAtPowersOfTenAndCutoffs) {
+  std::vector<double> inputs;
+  for (int e = -17; e <= 14; ++e) {
+    char text[16];
+    std::snprintf(text, sizeof(text), "1e%d", e);
+    inputs.push_back(std::strtod(text, nullptr));
+  }
+  // The closed-form range edges: |us| = 2^52 / 1000 for timestamps (here in
+  // ms; 1e-13 and 1e10 for numbers are among the powers of ten), and the
+  // rounding carries into the next decade below 1e10 and 1e9.
+  inputs.push_back(4503599627370496.0 / 1e6);
+  inputs.push_back(9999999999.5);
+  inputs.push_back(9999999999.499999);
+  inputs.push_back(999999999.95);
+  for (const double base : std::vector<double>(inputs)) {
+    double below = base;
+    double above = base;
+    for (int step = 0; step < 4; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, std::numeric_limits<double>::max());
+      inputs.push_back(below);
+      inputs.push_back(above);
+    }
+  }
+  for (const double x : inputs) {
+    ASSERT_TRUE(matches_text(x));
+    ASSERT_TRUE(matches_text(-x));
+  }
 }
 
 /// A small but feature-complete RunTrace: lifecycles (compliant, violating,

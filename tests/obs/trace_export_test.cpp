@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <filesystem>
 #include <map>
 #include <sstream>
+#include <streambuf>
 #include <string>
 
 #include "src/core/framework.hpp"
@@ -208,6 +211,80 @@ TEST(TraceExport, CsvAndJsonlWritersEmitOneRowPerRecord) {
   const std::string row = jsonl.str();
   EXPECT_EQ(std::count(row.begin(), row.end(), '\n'), 1);
   EXPECT_NE(row.find("\"slo_compliance\""), std::string::npos);
+}
+
+/// A stream buffer that takes no bytes, as a full disk or a closed pipe.
+class RefusingBuffer : public std::streambuf {
+ protected:
+  int_type overflow(int_type) override { return traits_type::eof(); }
+  std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+};
+
+/// A traced run with every stream's source filled: decisions, rollup cells
+/// and a health engine.
+RunTrace streamed_run(telemetry::RunMetrics* metrics) {
+  exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance());
+  RunTrace trace;
+  trace.collect_rollups = true;
+  trace.collect_health = true;
+  *metrics = runner.run(small_scenario(1), exp::SchemeId::kPaldia, trace).combined;
+  return trace;
+}
+
+/// Writes a run into each writer, whose destination takes no bytes: every
+/// writer must report `expected_error` and stop.
+void expect_writes_fail(MetricsWriter& metrics_writer, DecisionLogWriter& decisions,
+                        RollupWriter& rollups, AlertWriter& alerts,
+                        const std::string& expected_error) {
+  telemetry::RunMetrics metrics;
+  const RunTrace trace = streamed_run(&metrics);
+  ASSERT_FALSE(trace.reps.empty() || trace.reps[0]->decisions().empty());
+  const std::array<const ExportStream*, 4> writers = {&metrics_writer, &decisions,
+                                                      &rollups, &alerts};
+  for (const ExportStream* writer : writers) {
+    ASSERT_TRUE(writer->ok()) << writer->error();
+  }
+
+  for (int row = 0; row < 2000; ++row) metrics_writer.write(metrics, "fig");
+  decisions.write(trace, "Paldia", "trace_export");
+  rollups.write(trace, "trace_export / Paldia");
+  alerts.write(trace, "trace_export / Paldia");
+  for (const ExportStream* writer : writers) {
+    EXPECT_FALSE(writer->ok());
+    EXPECT_EQ(writer->error(), expected_error);
+  }
+}
+
+TEST(ExportStream, WritersReportAStreamThatTakesNoBytes) {
+  RefusingBuffer buffer;
+  std::ostream out(&buffer);
+  std::ostream csv_out(&buffer);
+  MetricsWriter metrics(csv_out, ExportFormat::kCsv);
+  DecisionLogWriter decisions(out, ExportFormat::kJsonl);
+  RollupWriter rollups(out, ExportFormat::kJsonl);
+  AlertWriter alerts(out, ExportFormat::kJsonl);
+  expect_writes_fail(metrics, decisions, rollups, alerts,
+                     "write failed for output stream");
+}
+
+TEST(ExportStream, WritersReportAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full here";
+  MetricsWriter metrics("/dev/full");
+  DecisionLogWriter decisions("/dev/full");
+  RollupWriter rollups("/dev/full");
+  AlertWriter alerts("/dev/full");
+  expect_writes_fail(metrics, decisions, rollups, alerts, "write failed for /dev/full");
+}
+
+TEST(ExportStream, HealthyStreamStaysOk) {
+  telemetry::RunMetrics metrics;
+  const RunTrace trace = streamed_run(&metrics);
+  std::ostringstream out;
+  AlertWriter alerts(out, ExportFormat::kJsonl);
+  alerts.write(trace, "trace_export / Paldia");
+  EXPECT_TRUE(alerts.ok()) << alerts.error();
+  EXPECT_TRUE(alerts.error().empty());
+  EXPECT_NE(out.str().find("\"row\":\"summary\""), std::string::npos);
 }
 
 TEST(TraceExport, DeriveTracePathInsertsScenarioAndScheme) {
