@@ -49,12 +49,6 @@ struct BenchOptions {
   /// re-allocated on acquire (plain-vector behaviour). Exports must come
   /// out byte-identical to the pooled run.
   bool request_pool = true;
-  /// --shards=N: event shards per simulation run. 1 (default) = the serial
-  /// drain; higher values split node-group events over per-shard queues
-  /// drained in conservative-lookahead epochs. Exports must come out
-  /// byte-identical to --shards=1 — the serial drain is the reference side
-  /// of that check.
-  int shards = 1;
   /// --no-prune: run Algorithm 1's candidate sweep as the exhaustive linear
   /// enumeration instead of the pruned (capability-masked, lower-bounded,
   /// cost-bucketed) walk. Choices and exports must come out byte-identical
@@ -64,16 +58,16 @@ struct BenchOptions {
   /// trace plus a deterministic 1-in-N of compliant ones (1 = keep all).
   /// The decision hashes the request id against a fixed seed — never wall
   /// clock or thread ids — so sampled exports stay byte-identical across
-  /// --threads and --shards, and report counts stay exact via the tracer's
-  /// sampled_out counters.
+  /// --threads, and report counts stay exact via the tracer's sampled_out
+  /// counters.
   std::uint32_t sample_rate = 1;
   /// --rollup-out=FILE: windowed per-(model, node, cause) rollup stream
   /// (.csv -> CSV, else JSONL), fed by every completion regardless of
   /// --sample-rate. `paldia-analyze --rollup` rebuilds compliance and
   /// attribution from this stream alone.
   std::string rollup_out;
-  /// --profile: time the simulator's own hot paths (epoch extract/merge,
-  /// selection sweep, dispatch/monitor ticks, export flush) and emit a
+  /// --profile: time the simulator's own hot paths (event drain, selection
+  /// sweep, dispatch/monitor ticks, export flush) and emit a
   /// per-phase report section plus a chrome-trace self-profile lane.
   bool profile = false;
   /// --alerts-out=FILE: SLO health alert stream (.csv -> CSV, else JSONL) —
@@ -144,8 +138,6 @@ inline BenchOptions parse_options(
       options.request_pool = false;
     } else if (arg == "--no-prune") {
       options.prune = false;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = std::max(1, parse_number<int>("--shards", arg.substr(9)));
     } else if (arg.rfind("--sample-rate=", 0) == 0) {
       options.sample_rate = static_cast<std::uint32_t>(
           std::max(1, parse_number<int>("--sample-rate", arg.substr(14))));
@@ -175,7 +167,7 @@ inline BenchOptions parse_options(
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--reps=N] [--threads=N] [--full] [--no-tmax-cache]\n"
-          "          [--no-request-pool] [--no-prune] [--shards=N]\n"
+          "          [--no-request-pool] [--no-prune]\n"
           "          [--trace-out=FILE.json]   Chrome trace-event JSON per\n"
           "                                    (scenario, scheme) run (Perfetto)\n"
           "          [--metrics-out=FILE]      RunMetrics rows, streaming\n"
@@ -190,8 +182,6 @@ inline BenchOptions parse_options(
           "                                    pooling (arena bypass reference)\n"
           "          [--no-prune]              exhaustive linear Algorithm 1\n"
           "                                    sweep (pruning bypass reference)\n"
-          "          [--shards=N]              event shards per simulation run\n"
-          "                                    (sharded drain; 1 = serial)\n"
           "          [--sample-rate=N]         keep all SLO violators + 1-in-N\n"
           "                                    compliant lifecycles in the trace\n"
           "                                    (deterministic; counts stay exact)\n"
@@ -236,7 +226,6 @@ inline exp::SchemeFactoryOptions factory_options(const BenchOptions& options) {
   factory.tmax_cache = options.tmax_cache;
   factory.request_pool = options.request_pool;
   factory.prune = options.prune;
-  factory.shards = options.shards;
   factory.sample_rate = options.sample_rate;
   factory.slo_target = options.slo_target;
   factory.burn_fast_ms = options.burn_fast_ms;

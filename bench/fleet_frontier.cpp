@@ -6,13 +6,13 @@
 // frontier runs, the pruned and exhaustive-linear modes are executed over
 // the same schedule and their choice digests compared — any divergence is a
 // hard failure (exit 1), mirroring the byte-identity CI on fig04 exports.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "src/exp/fleet.hpp"
+#include "bench/bench_common.hpp"
+#include "src/exp/selection_sweep.hpp"
 #include "src/hw/catalog_gen.hpp"
 #include "src/models/profile.hpp"
 #include "src/models/zoo.hpp"
@@ -36,11 +36,13 @@ Options parse(int argc, char** argv) {
     if (arg.rfind("--catalog=", 0) == 0) {
       options.catalog_spec = arg.substr(10);
     } else if (arg.rfind("--fleet-nodes=", 0) == 0) {
-      options.fleet_nodes = std::max(1, std::atoi(arg.c_str() + 14));
+      options.fleet_nodes =
+          std::max(1, bench::parse_number<int>("--fleet-nodes", arg.substr(14)));
     } else if (arg.rfind("--ticks=", 0) == 0) {
-      options.ticks = std::max(1, std::atoi(arg.c_str() + 8));
+      options.ticks =
+          std::max(1, bench::parse_number<int>("--ticks", arg.substr(8)));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      options.seed = bench::parse_number<std::uint64_t>("--seed", arg.substr(7));
     } else if (arg == "--no-prune") {
       options.prune = false;
     } else if (arg == "--help" || arg == "-h") {
@@ -56,6 +58,8 @@ Options parse(int argc, char** argv) {
           "                     (pruning bypass reference)\n",
           argv[0]);
       std::exit(0);
+    } else {
+      bench::usage_error("unknown option '" + arg + "'");
     }
   }
   return options;
@@ -89,21 +93,23 @@ int main(int argc, char** argv) {
               options.fleet_nodes, options.ticks,
               static_cast<unsigned long long>(options.seed));
 
-  exp::FleetConfig config;
+  exp::SelectionSweepConfig config;
   config.endpoints = options.fleet_nodes;
   config.ticks = options.ticks;
   config.seed = options.seed;
   config.prune = options.prune;
-  const auto schedule = exp::build_fleet_schedule(config, zoo);
+  const auto schedule = exp::build_sweep_schedule(config, zoo);
 
   // Equivalence self-check: the pruned and linear modes must choose
   // identically, bit for bit, over the whole fleet.
   {
-    exp::FleetConfig pruned = config, linear = config;
+    exp::SelectionSweepConfig pruned = config, linear = config;
     pruned.prune = true;
     linear.prune = false;
-    const auto a = exp::run_fleet(pruned, schedule, zoo, catalog, profile);
-    const auto b = exp::run_fleet(linear, schedule, zoo, catalog, profile);
+    const auto a =
+        exp::run_selection_sweep(pruned, schedule, zoo, catalog, profile);
+    const auto b =
+        exp::run_selection_sweep(linear, schedule, zoo, catalog, profile);
     if (a.choice_digest != b.choice_digest) {
       std::fprintf(stderr,
                    "FAIL: pruned (%016llx) and linear (%016llx) choice "
@@ -133,9 +139,10 @@ int main(int argc, char** argv) {
   std::printf("%-9s %10s %12s %12s %11s\n", "headroom", "$/hour",
               "SLO attain", "CPU share", "us/choose");
   for (double headroom : {0.70, 0.75, 0.80, 0.85, 0.90, 0.95}) {
-    exp::FleetConfig point = config;
+    exp::SelectionSweepConfig point = config;
     point.slo_headroom = headroom;
-    const auto result = exp::run_fleet(point, schedule, zoo, catalog, profile);
+    const auto result =
+        exp::run_selection_sweep(point, schedule, zoo, catalog, profile);
     std::printf("%-9.2f %10.2f %11.1f%% %11.1f%% %11.1f\n", headroom,
                 result.fleet_cost_per_hour, 100.0 * result.slo_attainment,
                 100.0 * static_cast<double>(result.cpu_choices) /

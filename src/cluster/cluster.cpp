@@ -19,12 +19,6 @@ Cluster::Cluster(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
                                             hw::NodeType(static_cast<int>(i)),
                                             rng.fork(catalog.spec(hw::NodeType(i)).instance),
                                             zoo, profile_, config.node));
-    // Node-local events (device completions, cold-start timers) round-robin
-    // over the worker shards; control-plane events stay on shard 0. A fleet
-    // endpoint pins all of its nodes to the endpoint's shard instead.
-    nodes_.back()->set_shard(config.shard >= 0
-                                 ? config.shard
-                                 : simulator.shard_of(static_cast<int>(i)));
   }
 }
 
@@ -54,8 +48,7 @@ void Cluster::acquire(hw::NodeType type, std::function<void(Node&)> on_ready) {
         auto waiters = std::move(h.waiters);
         h.waiters.clear();
         for (auto& waiter : waiters) waiter(node(ready_type));
-      },
-      node(type).shard());
+      });
 }
 
 void Cluster::acquire_immediately(hw::NodeType type) {

@@ -22,14 +22,6 @@ namespace paldia::cluster {
 struct ClusterConfig {
   NodeConfig node;
   ProvisionerConfig provisioner;
-  /// Event shard for node-local timers (device completions, cold starts,
-  /// procurement). -1 (default) round-robins nodes over the simulator's
-  /// worker shards; >= 0 pins every node of this cluster to that shard.
-  /// Fleets pin each endpoint's cluster to the endpoint's own shard so
-  /// steady-state serving traffic never crosses the cross-shard mailbox.
-  /// Purely a batching/affinity knob: shard placement never changes event
-  /// order (stamps are global), so exports are identical either way.
-  int shard = -1;
 };
 
 class Cluster {

@@ -33,7 +33,7 @@ void CpuExecutor::start_next() {
   busy_since_ms_ = simulator_->now();
 
   completion_event_ = simulator_->schedule_in(
-      running_->work_ms, [this] { complete_running(); }, shard_);
+      running_->work_ms, [this] { complete_running(); });
 }
 
 void CpuExecutor::complete_running() {

@@ -98,11 +98,6 @@ class GpuDevice {
   /// slowdown(S) as described above; exposed for the model-vs-device tests.
   static double slowdown(double fbr_sum, double beta);
 
-  /// Event shard completion events land on (sharded simulation); set by the
-  /// owning Node. The device only ever touches its own state from these
-  /// events, so they belong with the node group, not the control plane.
-  void set_shard(int shard) { shard_ = shard; }
-
  private:
   struct Resident {
     GpuJob job;
@@ -135,7 +130,6 @@ class GpuDevice {
 
   TimeMs last_advance_ms_ = 0.0;
   sim::EventHandle completion_event_;
-  int shard_ = 0;
 
   DurationMs busy_time_ms_ = 0.0;
   TimeMs busy_since_ms_ = 0.0;

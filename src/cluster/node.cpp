@@ -82,8 +82,7 @@ ContainerId Node::spawn_container(models::ModelId model, bool prewarmed) {
           it->second.state = ContainerState::kWarm;
         }
         on_container_ready();
-      },
-      shard_);
+      });
   return id;
 }
 
@@ -253,12 +252,6 @@ DurationMs Node::device_busy_time_ms() const {
 
 double Node::current_fbr_sum() const {
   return gpu_device_ ? gpu_device_->current_fbr_sum() : 0.0;
-}
-
-void Node::set_shard(int shard) {
-  shard_ = shard;
-  if (gpu_device_) gpu_device_->set_shard(shard);
-  if (cpu_executor_) cpu_executor_->set_shard(shard);
 }
 
 void Node::set_host_interference(double cpu_factor, double gpu_factor) {

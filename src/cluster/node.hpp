@@ -98,12 +98,6 @@ class Node {
   /// Host interference multiplier (Table III study). >= 1.
   void set_host_interference(double cpu_factor, double gpu_factor);
 
-  /// Pin this node's self-contained events (container cold-start timers,
-  /// device completions) to an event shard. Called by the Cluster right
-  /// after construction; defaults to the control shard 0.
-  void set_shard(int shard);
-  int shard() const { return shard_; }
-
   const models::ProfileTable& profile() const { return *profile_; }
 
  private:
@@ -135,7 +129,6 @@ class Node {
   std::int64_t next_container_id_ = 0;
   std::uint64_t cold_starts_ = 0;
   double gpu_interference_factor_ = 1.0;
-  int shard_ = 0;
 };
 
 }  // namespace paldia::cluster

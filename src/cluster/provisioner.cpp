@@ -3,11 +3,10 @@
 namespace paldia::cluster {
 
 void Provisioner::procure(hw::NodeType type,
-                          std::function<void(hw::NodeType)> on_ready,
-                          int shard) {
+                          std::function<void(hw::NodeType)> on_ready) {
   simulator_->schedule_in(
       config_.procurement_delay_ms,
-      [type, on_ready = std::move(on_ready)] { on_ready(type); }, shard);
+      [type, on_ready = std::move(on_ready)] { on_ready(type); });
 }
 
 }  // namespace paldia::cluster

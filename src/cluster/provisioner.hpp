@@ -21,12 +21,8 @@ class Provisioner {
   Provisioner(sim::Simulator& simulator, ProvisionerConfig config = {})
       : simulator_(&simulator), config_(config) {}
 
-  /// Begin procuring the node type; on_ready fires after the delay. The
-  /// ready event lands on `shard` — the shard of the node being brought up,
-  /// so procurement completions are shard-crossing messages like any other
-  /// node event.
-  void procure(hw::NodeType type, std::function<void(hw::NodeType)> on_ready,
-               int shard = 0);
+  /// Begin procuring the node type; on_ready fires after the delay.
+  void procure(hw::NodeType type, std::function<void(hw::NodeType)> on_ready);
 
   DurationMs procurement_delay_ms() const { return config_.procurement_delay_ms; }
 

@@ -42,7 +42,7 @@ void RequestRing::append_and_sort(const Request* data, std::size_t n) {
   count_ += n;
   // Stable: requests sharing an arrival timestamp must keep their requeue
   // order, or pooled and bypass runs diverge on ties (the bit-identity
-  // contract both the request-pool and sharding CI checks enforce).
+  // contract the request-pool CI check enforces).
   std::stable_sort(
       buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(count_),
       [](const Request& a, const Request& b) { return a.arrival_ms < b.arrival_ms; });

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/rng.hpp"
 #include "src/trace/trace.hpp"
@@ -47,22 +49,23 @@ Fleet::Fleet(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
     : simulator_(&simulator), config_(config) {
   assert(config.endpoints >= 1);
   assert(make_policy != nullptr);
-  if (config_.framework.lookahead_ms <= 0.0) {
-    // Fleet-scale epoch window: one epoch extracts a whole window of every
-    // endpoint's timer population instead of rescanning the resident heaps
-    // once per 20 ms dispatch tick. Purely a batching knob — stamps are
-    // global, so exports are byte-identical at any value.
-    config_.framework.lookahead_ms = kFleetLookaheadMs;
-  }
   const auto slices = slice_catalog(global_catalog, config.endpoints);
+  for (int e = 0; e < config.endpoints; ++e) {
+    if (!slices[static_cast<std::size_t>(e)].empty()) continue;
+    const auto gpus = global_catalog.gpus_by_capability_ascending().size();
+    const auto cpus = global_catalog.size() - gpus;
+    throw std::invalid_argument(
+        "fleet endpoint " + std::to_string(e) +
+        " gets no nodes: the catalog has " + std::to_string(cpus) + " CPU and " +
+        std::to_string(gpus) + " GPU nodes, so a fleet takes at most " +
+        std::to_string(std::max(cpus, gpus)) + " endpoints");
+  }
   endpoints_.reserve(static_cast<std::size_t>(config.endpoints));
   obs::Profiler* sim_profiler = nullptr;
   for (int e = 0; e < config.endpoints; ++e) {
     Endpoint endpoint;
     endpoint.id = e;
-    endpoint.shard = simulator.shard_of(e);
     endpoint.global_nodes = slices[static_cast<std::size_t>(e)];
-    assert(!endpoint.global_nodes.empty() && "more endpoints than nodes");
 
     std::vector<hw::NodeSpec> specs;
     specs.reserve(endpoint.global_nodes.size());
@@ -72,15 +75,12 @@ Fleet::Fleet(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
     endpoint.catalog = std::make_unique<hw::Catalog>(std::move(specs));
     endpoint.profile = std::make_unique<models::ProfileTable>(*endpoint.catalog);
 
-    cluster::ClusterConfig cluster_config = config_.cluster;
-    cluster_config.shard = endpoint.shard;
     endpoint.cluster = std::make_unique<cluster::Cluster>(
         simulator, rng.fork("fleet-cluster-" + std::to_string(e)), zoo,
-        *endpoint.catalog, cluster_config);
+        *endpoint.catalog, config_.cluster);
 
     FrameworkConfig framework_config = config_.framework;
     framework_config.endpoint_id = e;
-    framework_config.shard = endpoint.shard;
     if (!framework_config.initial_node.has_value()) {
       // Cheapest node of the slice; the dealing order guarantees a CPU
       // node while the catalog has one per endpoint.

@@ -14,11 +14,7 @@
 //   * Routing is a pure function of (route_seed, model, arrival sequence):
 //     request k of a model goes to endpoint splitmix64(seed ^ k) % E,
 //     precomputed into per-endpoint sub-traces before the run. No event
-//     ordering, thread count or shard count can change it.
-//   * Shard affinity is purely a batching knob: endpoint e's events (ticks,
-//     injections, device completions, tracker samples) all land on shard
-//     1 + e % (shards - 1), but sequence stamps are global, so every export
-//     is byte-identical across --threads and --shards.
+//     ordering or thread count can change it.
 #pragma once
 
 #include <cstdint>
@@ -34,23 +30,19 @@
 
 namespace paldia::core {
 
-/// Default sharded-drain epoch window for fleets (FrameworkConfig's
-/// lookahead_ms when the caller leaves it 0). Sized so one barrier epoch
-/// batches a whole lookahead window of every endpoint's timers.
-inline constexpr DurationMs kFleetLookaheadMs = 200.0;
-
 struct FleetConfig {
-  /// Serving endpoints (gateways). Must be >= 1 and no larger than the
-  /// number of CPU nodes in the global catalog (every slice needs a CPU
-  /// node to start on).
+  /// Serving endpoints (gateways). Must be >= 1 and at most the larger of
+  /// the global catalog's CPU and GPU node counts: slice_catalog leaves
+  /// every later slice empty, and Fleet throws std::invalid_argument. An
+  /// endpoint past the CPU count gets no CPU node and starts on a GPU.
   int endpoints = 4;
   /// Seed of the splitmix64 request router.
   std::uint64_t route_seed = 0x9a1d1a;
-  /// Per-endpoint serving template. endpoint_id and shard are overwritten
-  /// per endpoint; the observability pointers can be redirected per
-  /// endpoint via the configure callback.
+  /// Per-endpoint serving template. endpoint_id is overwritten per
+  /// endpoint; the observability pointers can be redirected per endpoint
+  /// via the configure callback.
   FrameworkConfig framework;
-  /// Per-endpoint cluster template. shard is overwritten per endpoint.
+  /// Per-endpoint cluster template.
   cluster::ClusterConfig cluster;
 };
 
@@ -66,6 +58,9 @@ class Fleet {
   using ConfigureFn = std::function<void(int endpoint, const hw::Catalog& slice,
                                          FrameworkConfig&)>;
 
+  /// Throws std::invalid_argument when an endpoint's slice is empty (more
+  /// endpoints than the catalog's CPU or GPU nodes; see
+  /// FleetConfig::endpoints).
   Fleet(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
         const hw::Catalog& global_catalog, FleetConfig config,
         PolicyFactory make_policy, ConfigureFn configure = nullptr);
@@ -101,7 +96,6 @@ class Fleet {
   const std::vector<int>& slice_nodes(int endpoint) const {
     return endpoints_[endpoint].global_nodes;
   }
-  int shard_of_endpoint(int endpoint) const { return endpoints_[endpoint].shard; }
 
   /// Requests routed so far, fleet-wide and per endpoint.
   std::uint64_t total_requests() const { return total_requests_; }
@@ -112,7 +106,6 @@ class Fleet {
  private:
   struct Endpoint {
     int id = 0;
-    int shard = 0;
     std::uint64_t requests = 0;
     std::vector<int> global_nodes;
     // unique_ptr keeps addresses stable: the profile, cluster and policies

@@ -34,20 +34,6 @@ Framework::Framework(sim::Simulator& simulator, cluster::Cluster& cluster,
       batcher_(config.batcher),
       autoscaler_(config.autoscaler),
       ids_(config.endpoint_id) {
-  if (simulator.shard_count() > 1) {
-    // Epoch window for the sharded drain. Conservative auto: the fastest
-    // cadence at which control-plane events reach node shards. Correctness
-    // never depends on this value (intra-window schedules are merged
-    // exactly); it only sizes how much queue work each barrier epoch
-    // batches — fleet-scale runs override it upward so each epoch extracts
-    // a whole window instead of rescanning the resident heap per tick.
-    simulator.set_lookahead(
-        config.lookahead_ms > 0.0
-            ? config.lookahead_ms
-            : std::max(1.0, std::min({config.dispatch_interval_ms,
-                                      config.monitor_interval_ms,
-                                      config.autoscaler.predictive_interval_ms})));
-  }
   simulator.set_profiler(profiler_);
   gateway_.set_tracer(tracer_);
   batcher_.set_tracer(tracer_);
@@ -75,8 +61,6 @@ Framework::Framework(sim::Simulator& simulator, cluster::Cluster& cluster,
   distributor_->set_calibration(calibration_);
   power_ = std::make_unique<telemetry::PowerTracker>(simulator, cluster);
   util_ = std::make_unique<telemetry::UtilTracker>(simulator, cluster);
-  power_->set_shard(config_.shard);
-  util_->set_shard(config_.shard);
 }
 
 void Framework::add_workload(models::ModelId model, trace::Trace trace) {
@@ -141,11 +125,9 @@ DemandSnapshot Framework::snapshot(const Workload& workload, TimeMs now) {
 
 void Framework::schedule_injections(const Workload& workload) {
   // Chained: only the next non-zero epoch's injection is resident at any
-  // time, so the queues hold O(workloads) injection events instead of
-  // O(trace epochs). Pre-scheduling the whole trace kept every far-future
-  // epoch resident for the entire run — at fleet scale (hundreds of
-  // endpoint sub-traces) that population dominated the sharded drain's
-  // per-epoch extraction scan, which is linear in queue residency.
+  // time, so the queue holds O(workloads) injection events instead of
+  // O(trace epochs). Pre-scheduling the whole trace would keep every
+  // far-future epoch resident for the entire run.
   schedule_injection_epoch(workload, 0);
 }
 
@@ -172,8 +154,7 @@ void Framework::schedule_injection_epoch(const Workload& workload,
           slo.record_arrival(start +
                              workload.trace.epoch_ms() * (i + 0.5) / count);
         }
-      },
-      config_.shard);
+      });
 }
 
 void Framework::dispatch_tick() {
@@ -303,7 +284,7 @@ void Framework::monitor_tick() {
   }
   if (health_ != nullptr) {
     // Detector input mirrors the rollup gauge sweep; the evaluation itself
-    // runs on the same simulated-time cadence for every thread/shard count.
+    // runs on the same simulated-time cadence for every thread count.
     for (const auto& workload : workloads_) {
       health_->observe_queue_depth(
           now, static_cast<int>(workload.model), static_cast<int>(active_node_),
@@ -380,10 +361,8 @@ void Framework::begin_switch(hw::NodeType target) {
               config_.release_grace_ms,
               [this, old_node] {
                 if (old_node != active_node_) cluster_->release(old_node);
-              },
-              config_.shard);
-        },
-        config_.shard);
+              });
+        });
   });
 }
 
@@ -543,15 +522,13 @@ void Framework::begin_run() {
         const TimeMs now = simulator_->now();
         if (now >= cap) return false;
         return now < trace_end_ms_ || !drained(now);
-      },
-      config_.shard);
+      });
   simulator_->schedule_repeating(
       config_.monitor_interval_ms, config_.monitor_interval_ms,
       [this] {
         monitor_tick();
         return simulator_->now() + config_.monitor_interval_ms <= trace_end_ms_;
-      },
-      config_.shard);
+      });
   simulator_->schedule_repeating(
       config_.autoscaler.predictive_interval_ms,
       config_.autoscaler.predictive_interval_ms,
@@ -559,8 +536,7 @@ void Framework::begin_run() {
         predictive_tick();
         return simulator_->now() + config_.autoscaler.predictive_interval_ms <=
                trace_end_ms_;
-      },
-      config_.shard);
+      });
 }
 
 TimeMs Framework::run() {

@@ -77,7 +77,7 @@ struct FrameworkConfig {
   /// attribution in fixed memory without a full trace.
   obs::RollupAggregator* rollup = nullptr;
   /// Simulator self-profiling (null = disabled). The framework wires it
-  /// into the simulator's drain phases and times its own dispatch/monitor
+  /// into the simulator's drain phase and times its own dispatch/monitor
   /// ticks and the Algorithm 1 sweep.
   obs::Profiler* profiler = nullptr;
   /// Online SLO health engine (null = disabled, single-branch cost). Fed
@@ -90,20 +90,6 @@ struct FrameworkConfig {
   /// unique across gateways; 0 (standalone runs) is bit-identical to the
   /// untagged allocator.
   int endpoint_id = 0;
-  /// Sharded-drain epoch window (simulated ms). 0 = conservative auto: the
-  /// fastest control cadence (min of the dispatch/monitor/predictive
-  /// intervals). Correctness never depends on this value — intra-window
-  /// schedules are merged exactly and stamps are global — it only sizes how
-  /// much queue work each barrier epoch batches. Fleets size it in hundreds
-  /// of ms (Fleet defaults it to kFleetLookaheadMs) so one epoch extracts a
-  /// whole timer population instead of rescanning the resident heap once
-  /// per dispatch tick.
-  DurationMs lookahead_ms = 0.0;
-  /// Event shard all of this framework's timers (ticks, injections, tracker
-  /// samples, switch warmups) land on. Fleets pin each endpoint to its own
-  /// shard so steady-state serving never crosses the cross-shard mailbox;
-  /// placement never changes event order (stamps are global).
-  int shard = 0;
 };
 
 class Framework {

@@ -48,10 +48,7 @@ FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
   assert(endpoints >= 1);
   const auto slots = static_cast<std::size_t>(endpoints);
 
-  sim::ShardOptions shard_options;
-  shard_options.shards = options_.shards;
-  shard_options.pool = pool_;
-  sim::Simulator simulator(shard_options);
+  sim::Simulator simulator;
   Rng rng(scenario.base_seed);
 
   // Per-endpoint observation slots, endpoint order (mirrors Runner::run's

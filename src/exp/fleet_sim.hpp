@@ -1,13 +1,12 @@
 // End-to-end multi-gateway fleet experiment: a core::Fleet (E endpoints over
-// a sliced catalog, one shared sharded simulator) driven by a Scenario's
+// a sliced catalog, one shared simulator) driven by a Scenario's
 // workloads, with the full per-endpoint observability stack and the same
 // RunMetrics extraction as the per-scheme Runner.
 //
 // The obs::RunTrace slots are reused with one slot per *endpoint* (instead
 // of per repetition): tracer/rollup/profiler/health slot e observes endpoint
 // e, and the existing exporters walk the slots in endpoint order — so fleet
-// exports are byte-identical across --threads and --shards exactly like
-// per-rep exports.
+// exports are byte-identical across --threads exactly like per-rep exports.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +36,9 @@ struct FleetSimResult {
 class FleetSim {
  public:
   /// `catalog` is the global fleet catalog (typically generated,
-  /// hw::parse_catalog_spec). The pool parallelizes per-shard event
-  /// extraction; exports are identical with or without it.
+  /// hw::parse_catalog_spec). The pool only parallelizes Algorithm 1's
+  /// candidate sweep inside each endpoint's policy; exports are identical
+  /// with or without it.
   FleetSim(const models::Zoo& zoo, const hw::Catalog& catalog,
            ThreadPool* pool = nullptr, SchemeFactoryOptions options = {});
 
@@ -51,6 +51,8 @@ class FleetSim {
   /// variants start on the slice's best GPU when it has one). Oracle (trace
   /// reveal predates the routing split) and the Table II pinned-node
   /// figure-1 baselines (their pins name global indices) are rejected.
+  /// Throws std::invalid_argument when `endpoints` leaves a slice empty
+  /// (see core::FleetConfig::endpoints).
   FleetSimResult run(const Scenario& scenario, SchemeId scheme, int endpoints,
                      obs::RunTrace* trace = nullptr) const;
 

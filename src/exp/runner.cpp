@@ -24,13 +24,7 @@ RunResult Runner::run_once(const Scenario& scenario, SchemeId scheme,
                            obs::Tracer* tracer, obs::RollupAggregator* rollup,
                            obs::Profiler* profiler,
                            obs::HealthEngine* health) const {
-  sim::ShardOptions shard_options;
-  shard_options.shards = factory_.options().shards;
-  // The task-group executor is nestable, so per-shard extraction may run
-  // inside a rep-level parallel_for worker. Exports are identical with or
-  // without the pool — the sharded drain is deterministic by design.
-  shard_options.pool = pool_;
-  sim::Simulator simulator(shard_options);
+  sim::Simulator simulator;
   Rng rng(seed);
   cluster::Cluster cluster(simulator, rng.fork("cluster"), *zoo_, *catalog_);
 

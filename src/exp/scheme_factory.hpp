@@ -42,14 +42,10 @@ struct SchemeFactoryOptions {
   /// --no-request-pool reference: same block API, every buffer dropped on
   /// release — exports must stay byte-identical either way.
   bool request_pool = true;
-  /// Event shards per simulation (--shards). 1 = serial drain; higher
-  /// values shard node-group events under the conservative-lookahead epochs
-  /// (see src/sim/simulator.hpp) — exports must stay byte-identical.
-  int shards = 1;
   /// Lifecycle trace sampling (--sample-rate): keep every SLO-violating
   /// request plus a deterministic 1-in-N of compliant ones (1 = keep all).
   /// Report counts stay exact via sampled_out counters; the sampled exports
-  /// stay byte-identical across --threads and --shards.
+  /// stay byte-identical across --threads.
   std::uint32_t sample_rate = 1;
   /// SLO objective for the health engine's error budget (--slo-target):
   /// budget = 1 - slo_target; burn rate = violation fraction / budget.

@@ -1,4 +1,4 @@
-#include "src/exp/fleet.hpp"
+#include "src/exp/selection_sweep.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -32,15 +32,15 @@ std::uint64_t double_bits(double value) {
 
 }  // namespace
 
-std::vector<std::vector<FleetDemand>> build_fleet_schedule(
-    const FleetConfig& config, const models::Zoo& zoo) {
+std::vector<std::vector<SweepDemand>> build_sweep_schedule(
+    const SelectionSweepConfig& config, const models::Zoo& zoo) {
   const int endpoints = std::max(1, config.endpoints);
   const int ticks = std::max(1, config.ticks);
   const auto all_models = zoo.all();
   const int model_count = static_cast<int>(all_models.size());
 
   Rng root(config.seed);
-  std::vector<std::vector<FleetDemand>> schedule(
+  std::vector<std::vector<SweepDemand>> schedule(
       static_cast<std::size_t>(endpoints));
   for (int e = 0; e < endpoints; ++e) {
     Rng rng = root.fork("fleet-endpoint-" + std::to_string(e));
@@ -86,10 +86,11 @@ std::vector<std::vector<FleetDemand>> build_fleet_schedule(
   return schedule;
 }
 
-FleetResult run_fleet(const FleetConfig& config,
-                      const std::vector<std::vector<FleetDemand>>& schedule,
-                      const models::Zoo& zoo, const hw::Catalog& catalog,
-                      const models::ProfileTable& profile, ThreadPool* pool) {
+SelectionSweepResult run_selection_sweep(
+    const SelectionSweepConfig& config,
+    const std::vector<std::vector<SweepDemand>>& schedule,
+    const models::Zoo& zoo, const hw::Catalog& catalog,
+    const models::ProfileTable& profile, ThreadPool* pool) {
   core::HardwareSelectionConfig selection_config;
   selection_config.slo_headroom = config.slo_headroom;
   selection_config.prune = config.prune;
@@ -101,7 +102,7 @@ FleetResult run_fleet(const FleetConfig& config,
   perfmodel::TmaxCache cache;
   selection.set_tmax_cache(&cache);
 
-  FleetResult result;
+  SelectionSweepResult result;
   result.endpoints = static_cast<int>(schedule.size());
   result.ticks = schedule.empty() ? 0 : static_cast<int>(schedule.front().size());
   result.catalog_size = static_cast<int>(catalog.size());
@@ -157,11 +158,13 @@ FleetResult run_fleet(const FleetConfig& config,
   return result;
 }
 
-FleetResult run_fleet(const FleetConfig& config, const models::Zoo& zoo,
-                      const hw::Catalog& catalog,
-                      const models::ProfileTable& profile, ThreadPool* pool) {
-  return run_fleet(config, build_fleet_schedule(config, zoo), zoo, catalog,
-                   profile, pool);
+SelectionSweepResult run_selection_sweep(const SelectionSweepConfig& config,
+                                         const models::Zoo& zoo,
+                                         const hw::Catalog& catalog,
+                                         const models::ProfileTable& profile,
+                                         ThreadPool* pool) {
+  return run_selection_sweep(config, build_sweep_schedule(config, zoo), zoo,
+                             catalog, profile, pool);
 }
 
 }  // namespace paldia::exp

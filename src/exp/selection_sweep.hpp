@@ -1,8 +1,10 @@
-// Fleet-scale hardware selection scenario (the large-catalog stress for
-// Algorithm 1). A generated device catalog (hw/catalog_gen.hpp) is driven
-// by 100+ model endpoints, each with a deterministic random-walk demand
-// schedule, through HardwareSelection::choose directly — no Framework, no
-// simulator, so the catalog is free to exceed kNodeTypeCount.
+// Selection sweep: the large-catalog stress for Algorithm 1 behind
+// bench/fleet_frontier. A generated device catalog (hw/catalog_gen.hpp) is
+// driven by 100+ model endpoints, each with a deterministic random-walk
+// demand schedule, through HardwareSelection::choose directly — no
+// Framework, no simulator, so the catalog is free to exceed
+// kNodeTypeCount. The serving fleet, with gateways and a simulator, is
+// core::Fleet.
 //
 // Two outputs matter:
 //   * a cost-vs-SLO frontier (fig. 5 style): sweep slo_headroom and report
@@ -11,9 +13,10 @@
 //     walk actually evaluated, versus the exhaustive linear reference.
 //
 // Determinism contract: the demand schedule and every choice are pure
-// functions of (FleetConfig, catalog) — choice_digest hashes the exact
-// HardwareChoice stream, and the pruned and linear modes must produce the
-// same digest (the fleet-scale face of the --no-prune byte-identity check).
+// functions of (SelectionSweepConfig, catalog) — choice_digest hashes the
+// exact HardwareChoice stream, and the pruned and linear modes must produce
+// the same digest (the fleet-scale face of the --no-prune byte-identity
+// check).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +30,7 @@
 
 namespace paldia::exp {
 
-struct FleetConfig {
+struct SelectionSweepConfig {
   int endpoints = 120;        // model endpoints (node groups) in the fleet
   int ticks = 40;             // monitor ticks simulated per endpoint
   std::uint64_t seed = 2026;  // demand random-walk seed
@@ -36,17 +39,17 @@ struct FleetConfig {
 };
 
 /// One endpoint's demand at one tick: the co-resident models' snapshots.
-struct FleetDemand {
+struct SweepDemand {
   std::vector<core::DemandSnapshot> models;
 };
 
-/// The full fleet demand schedule: schedule[endpoint][tick]. A pure function
+/// The full demand schedule: schedule[endpoint][tick]. A pure function
 /// of (config.seed, endpoints, ticks) — independent of headroom and prune
 /// mode, so frontier points and prune modes see identical inputs.
-std::vector<std::vector<FleetDemand>> build_fleet_schedule(
-    const FleetConfig& config, const models::Zoo& zoo);
+std::vector<std::vector<SweepDemand>> build_sweep_schedule(
+    const SelectionSweepConfig& config, const models::Zoo& zoo);
 
-struct FleetResult {
+struct SelectionSweepResult {
   int endpoints = 0;
   int ticks = 0;
   int catalog_size = 0;
@@ -61,19 +64,20 @@ struct FleetResult {
   std::uint64_t choice_digest = 0;   // FNV-1a over the exact choice stream
 };
 
-/// Run the fleet scenario over a prebuilt schedule. `catalog` is typically
+/// Run the sweep over a prebuilt schedule. `catalog` is typically
 /// generated (hw::generate_catalog) but any catalog works; `profile` must be
 /// built over the same catalog.
-FleetResult run_fleet(const FleetConfig& config,
-                      const std::vector<std::vector<FleetDemand>>& schedule,
-                      const models::Zoo& zoo, const hw::Catalog& catalog,
-                      const models::ProfileTable& profile,
-                      ThreadPool* pool = nullptr);
+SelectionSweepResult run_selection_sweep(
+    const SelectionSweepConfig& config,
+    const std::vector<std::vector<SweepDemand>>& schedule,
+    const models::Zoo& zoo, const hw::Catalog& catalog,
+    const models::ProfileTable& profile, ThreadPool* pool = nullptr);
 
 /// Convenience: build the schedule internally and run.
-FleetResult run_fleet(const FleetConfig& config, const models::Zoo& zoo,
-                      const hw::Catalog& catalog,
-                      const models::ProfileTable& profile,
-                      ThreadPool* pool = nullptr);
+SelectionSweepResult run_selection_sweep(const SelectionSweepConfig& config,
+                                         const models::Zoo& zoo,
+                                         const hw::Catalog& catalog,
+                                         const models::ProfileTable& profile,
+                                         ThreadPool* pool = nullptr);
 
 }  // namespace paldia::exp

@@ -82,7 +82,7 @@ class DecisionLogWriter : public ExportStream {
 
 /// Streaming rollup writer (--rollup-out): one row per (repetition, window,
 /// model, node) cell, walked in repetition order then sorted key order —
-/// byte-identical however many pool threads or event shards ran the reps.
+/// byte-identical however many pool threads ran the reps.
 /// JSONL rows are what `paldia-analyze --rollup` consumes; the sparse
 /// "hist" bucket pairs round-trip each cell's latency sketch exactly.
 class RollupWriter : public ExportStream {

@@ -34,7 +34,7 @@
 // Determinism contract: one engine per repetition, driven only from the
 // single-threaded simulation loop in simulated time; keys live in a
 // std::map so every iteration is sorted. Alert streams are therefore
-// byte-identical across --threads and --shards, like every other export.
+// byte-identical across --threads, like every other export.
 //
 // Hot-path discipline matches the Tracer/RollupAggregator: the framework
 // holds a HealthEngine* that is nullptr when health is disabled, so the

@@ -4,8 +4,6 @@ namespace paldia::obs {
 
 std::string_view profile_phase_name(ProfilePhase phase) {
   switch (phase) {
-    case ProfilePhase::kEpochExtract: return "epoch_extract";
-    case ProfilePhase::kEpochMerge: return "epoch_merge";
     case ProfilePhase::kSerialDrain: return "serial_drain";
     case ProfilePhase::kSelectionSweep: return "selection_sweep";
     case ProfilePhase::kDispatchTick: return "dispatch_tick";

@@ -1,6 +1,6 @@
 // Simulator self-profiling: scoped wall-clock timers over the simulator's
-// own hot paths (epoch extract/merge, Algorithm 1 sweep, dispatch/monitor
-// ticks, exporter flush), aggregated per phase.
+// own hot paths (event drain, Algorithm 1 sweep, dispatch/monitor ticks,
+// exporter flush), aggregated per phase.
 //
 // This measures the *host* cost of running the simulation, not simulated
 // time — so unlike every other obs stream its numbers are nondeterministic
@@ -14,8 +14,7 @@
 // is nullptr when profiling is disabled; ScopedPhase on a nullptr profiler
 // skips the clock reads entirely, so the disabled cost is a single branch.
 // One Profiler per repetition; scopes are only ever opened on the thread
-// driving that repetition (sharded epoch extraction is timed around the
-// whole parallel_for, from the driver thread).
+// driving that repetition.
 //
 // Kept dependency-free (std only) so sim/ can include it without layering
 // the simulator on the rest of the obs subsystem.
@@ -30,18 +29,16 @@ namespace paldia::obs {
 
 /// The instrumented phases. Order is the report/export order.
 enum class ProfilePhase : std::uint8_t {
-  kEpochExtract = 0,  // sharded per-shard window extraction (whole fan-out)
-  kEpochMerge,        // global (time, sequence) k-way merged execution
-  kSerialDrain,       // single-shard pop loop (shards=1 runs)
-  kSelectionSweep,    // Algorithm 1 hardware-selection sweep
-  kDispatchTick,      // framework dispatch tick (batching + submission)
-  kMonitorTick,       // framework monitor tick (selection + telemetry)
-  kExportFlush,       // exporter flush (trace/decisions/rollup writes)
+  kSerialDrain = 0,  // the simulator's (time, sequence) pop loop
+  kSelectionSweep,   // Algorithm 1 hardware-selection sweep
+  kDispatchTick,     // framework dispatch tick (batching + submission)
+  kMonitorTick,      // framework monitor tick (selection + telemetry)
+  kExportFlush,      // exporter flush (trace/decisions/rollup writes)
 };
 
-inline constexpr int kProfilePhaseCount = 7;
+inline constexpr int kProfilePhaseCount = 5;
 
-/// Stable machine name ("epoch_extract", "serial_drain", ...).
+/// Stable machine name ("serial_drain", "selection_sweep", ...).
 std::string_view profile_phase_name(ProfilePhase phase);
 
 struct PhaseStats {

@@ -12,9 +12,10 @@ void EwmaPredictor::observe(TimeMs now, Rps rate) {
     last_observe_ms_ = now;
     return;
   }
-  // Sharded delivery can replay or reorder monitor samples; a stale tick
-  // (now <= last observation) must not move the level and would make the
-  // trend denominator non-positive, so it is dropped outright.
+  // observe() is public, so nothing stops a caller from repeating a
+  // timestamp or handing in an older one. Such a stale sample (now <= last
+  // observation) must not move the level and would make the trend's dt
+  // non-positive, so it is dropped outright.
   if (now <= last_observe_ms_) return;
   const double previous_level = level_;
   level_ = alpha_ * rate + (1.0 - alpha_) * level_;

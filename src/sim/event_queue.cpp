@@ -33,24 +33,14 @@ void EventQueue::release_slot(std::uint32_t index) {
 }
 
 EventHandle EventQueue::schedule(TimeMs t, EventFn fn) {
-  const Entry entry = stage(t, next_sequence_++, std::move(fn));
-  commit(entry);
-  return handle_for(entry);
-}
-
-EventQueue::Entry EventQueue::stage(TimeMs t, std::uint64_t sequence,
-                                    EventFn fn) {
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.fn = std::move(fn);
   slot.state = SlotState::kPending;
   ++live_;
-  return Entry{t, sequence, index, slot.generation};
-}
-
-void EventQueue::commit(const Entry& entry) {
-  heap_.push_back(entry);
+  heap_.push_back(Entry{t, next_sequence_++, index, slot.generation});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return EventHandle(this, index, slot.generation);
 }
 
 bool EventQueue::cancel_entry(std::uint32_t index, std::uint32_t generation) {
@@ -61,14 +51,6 @@ bool EventQueue::cancel_entry(std::uint32_t index, std::uint32_t generation) {
     slot.state = SlotState::kCancelled;
     slot.fn = EventFn{};  // release captures now; the heap tombstone is inert
     --live_;
-    return true;
-  }
-  if (slot.state == SlotState::kExtracted) {
-    // The event sits in an epoch run awaiting replay; live_ already excludes
-    // it, so only the state flips. ready() collects the slot when the run
-    // reaches it.
-    slot.state = SlotState::kCancelled;
-    slot.fn = EventFn{};
     return true;
   }
   return false;  // already cancelled
@@ -114,104 +96,6 @@ EventQueue::Fired EventQueue::pop() {
   release_slot(top.index);
   --live_;
   return fired;
-}
-
-void EventQueue::extract_until(TimeMs t, std::uint32_t shard,
-                               std::vector<Tagged>& out) {
-  const std::size_t first = out.size();
-  // One linear pass decides the strategy: dense windows (an epoch that
-  // drains a sizeable fraction of the heap) pay O(n) once for a partition
-  // plus a single re-heapify of the survivors, instead of one cache-hostile
-  // sift-down per extracted item.
-  std::size_t in_window = 0;
-  for (const Entry& item : heap_) {
-    if (item.time <= t) ++in_window;
-  }
-  if (in_window == 0) return;
-  if (in_window * 8 >= heap_.size()) {
-    // Sort the whole array ascending by (time, sequence): the extracted
-    // prefix comes out already in run order, and the surviving suffix is a
-    // valid binary heap as-is (sorted ⇒ parent ≤ children), so neither a
-    // separate run sort nor a make_heap re-heapify is needed.
-    std::sort(heap_.begin(), heap_.end(), [](const Entry& a, const Entry& b) {
-      if (a.time != b.time) return a.time < b.time;
-      return a.sequence < b.sequence;
-    });
-    const auto window_end = std::upper_bound(
-        heap_.begin(), heap_.end(), t,
-        [](TimeMs bound, const Entry& item) { return bound < item.time; });
-    for (auto it = heap_.begin(); it != window_end; ++it) {
-      if (window_end - it > 8) __builtin_prefetch(&slots_[it[8].index]);
-      const Slot& slot = slots_[it->index];
-      if (slot.generation == it->generation &&
-          slot.state == SlotState::kPending) {
-        out.push_back(Tagged{*it, shard});
-      } else {
-        collect_dead(*it);
-      }
-    }
-    heap_.erase(heap_.begin(), window_end);
-  } else {
-    // take_top() always yields the global (time, sequence) minimum, so this
-    // path appends in run order too.
-    while (!heap_.empty() && heap_.front().time <= t) {
-      const Entry item = take_top();
-      const Slot& slot = slots_[item.index];
-      if (slot.generation == item.generation &&
-          slot.state == SlotState::kPending) {
-        out.push_back(Tagged{item, shard});
-      } else {
-        collect_dead(item);
-      }
-    }
-  }
-  for (std::size_t i = first; i < out.size(); ++i) {
-    if (i + 8 < out.size()) __builtin_prefetch(&slots_[out[i + 8].entry.index]);
-    Slot& slot = slots_[out[i].entry.index];
-    slot.state = SlotState::kExtracted;
-    --live_;  // the entry now belongs to the epoch run, not the queue
-  }
-}
-
-bool EventQueue::ready(const Entry& entry) {
-  const Slot& slot = slots_[entry.index];
-  if (slot.generation != entry.generation) return false;  // recycled tombstone
-  if (slot.state == SlotState::kExtracted) return true;
-  if (slot.state == SlotState::kPending) return true;  // staged, never committed
-  if (slot.state == SlotState::kCancelled) {
-    release_slot(entry.index);  // collect: nothing else references this slot
-  }
-  return false;
-}
-
-EventFn EventQueue::take(const Entry& entry) {
-  Slot& slot = slots_[entry.index];
-  if (slot.generation != entry.generation) return {};  // recycled tombstone
-  if (slot.state == SlotState::kCancelled) {
-    release_slot(entry.index);  // collect: nothing else references this slot
-    return {};
-  }
-  assert(slot.state == SlotState::kExtracted ||
-         slot.state == SlotState::kPending);
-  if (slot.state == SlotState::kPending) {
-    --live_;  // staged-but-uncommitted entries still count as queued
-  }
-  EventFn fn = std::move(slot.fn);
-  release_slot(entry.index);
-  return fn;
-}
-
-void EventQueue::fire(const Entry& entry) {
-  Slot& slot = slots_[entry.index];
-  assert(slot.generation == entry.generation);
-  assert(slot.state == SlotState::kExtracted ||
-         slot.state == SlotState::kPending);
-  if (slot.state == SlotState::kPending) {
-    --live_;  // staged-but-uncommitted entries still count as queued
-  }
-  EventFn fn = std::move(slot.fn);
-  release_slot(entry.index);
-  fn();
 }
 
 void EventQueue::clear() {

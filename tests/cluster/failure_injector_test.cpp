@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.hpp"
@@ -91,30 +90,6 @@ TEST(FailureInjector, NoFailuresWhenFirstPointPastHorizon) {
   EXPECT_TRUE(h.failures.empty());
   EXPECT_TRUE(h.recoveries.empty());
   EXPECT_EQ(h.injector.failures_injected(), 0);
-}
-
-TEST(FailureInjector, CoalescedWindowsMatchUnderSharding) {
-  // The injector lives on the control shard; its fail/recover callbacks
-  // must land identically under the sharded drain.
-  for (const int shards : {1, 4}) {
-    sim::ShardOptions options;
-    options.shards = shards;
-    options.lookahead_ms = 7.0;
-    sim::Simulator simulator(options);
-    std::vector<std::pair<char, TimeMs>> log;
-    FailureInjector injector(
-        simulator,
-        FailureInjectorConfig{.period_ms = 8'000.0,
-                              .downtime_ms = 12'000.0,
-                              .first_failure_ms = 3'000.0},
-        [&] { log.emplace_back('f', simulator.now()); },
-        [&] { log.emplace_back('r', simulator.now()); });
-    injector.arm(40'000.0);
-    simulator.run_until(40'000.0);
-    EXPECT_EQ(log, (std::vector<std::pair<char, TimeMs>>{
-                       {'f', 3'000.0}, {'r', 40'000.0}}))
-        << "shards=" << shards;
-  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Unit tests for the core::Fleet coordinator: catalog slicing, the
-// deterministic splitmix64 request router, shard affinity, and workload
+// deterministic splitmix64 request router, endpoint slices, and workload
 // splitting (request conservation across per-endpoint sub-traces). The
 // end-to-end fleet byte-identity contract lives in the integration suite.
 #include "src/core/fleet.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/exp/scheme_factory.hpp"
@@ -93,8 +96,8 @@ TEST(FleetRoute, DeterministicInRangeAndRoughlyBalanced) {
   EXPECT_GT(diffs, 500);
 }
 
-TEST(Fleet, EndpointsAreShardAffine) {
-  sim::Simulator simulator(sim::ShardOptions{.shards = 4});
+TEST(Fleet, EndpointSlicesMatchTheirNodes) {
+  sim::Simulator simulator;
   const hw::Catalog catalog = generated(32);
   FleetConfig config;
   config.endpoints = 8;
@@ -102,15 +105,45 @@ TEST(Fleet, EndpointsAreShardAffine) {
               paldia_factory(models::Zoo::instance()));
   ASSERT_EQ(fleet.endpoint_count(), 8);
   for (int e = 0; e < fleet.endpoint_count(); ++e) {
-    EXPECT_EQ(fleet.shard_of_endpoint(e), simulator.shard_of(e));
-    EXPECT_GE(fleet.shard_of_endpoint(e), 1);  // shard 0 is control plane
-    EXPECT_LT(fleet.shard_of_endpoint(e), 4);
     EXPECT_EQ(fleet.slice(e).size(), fleet.slice_nodes(e).size());
   }
 }
 
+TEST(Fleet, ThrowsWhenAnEndpointSliceIsEmpty) {
+  // slice_catalog deals CPUs and then GPUs from slice 0, so slice e is
+  // empty once e reaches the larger of the two counts.
+  const hw::Catalog catalog = generated(16);
+  const auto gpus = catalog.gpus_by_capability_ascending().size();
+  const auto cpus = catalog.size() - gpus;
+  ASSERT_GT(cpus, 0u);
+  ASSERT_GT(gpus, 0u);
+  const int most = static_cast<int>(std::max(cpus, gpus));
+  const auto build = [&](int endpoints) {
+    sim::Simulator simulator;
+    FleetConfig config;
+    config.endpoints = endpoints;
+    Fleet fleet(simulator, Rng(17), models::Zoo::instance(), catalog, config,
+                paldia_factory(models::Zoo::instance()));
+    return fleet.endpoint_count();
+  };
+  EXPECT_EQ(build(most), most);
+  try {
+    build(most + 1);
+    FAIL() << "expected std::invalid_argument for " << most + 1 << " endpoints";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("endpoint " + std::to_string(most)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(std::to_string(cpus) + " CPU and " +
+                           std::to_string(gpus) + " GPU nodes"),
+              std::string::npos)
+        << message;
+  }
+}
+
 TEST(Fleet, AddWorkloadConservesRequestsAcrossEndpoints) {
-  sim::Simulator simulator(sim::ShardOptions{.shards = 4});
+  sim::Simulator simulator;
   const hw::Catalog catalog = generated(32);
   FleetConfig config;
   config.endpoints = 6;
@@ -132,35 +165,6 @@ TEST(Fleet, AddWorkloadConservesRequestsAcrossEndpoints) {
   EXPECT_EQ(sum, global.total_requests());
   // ~12k arrivals over 6 endpoints: the router must spread the load.
   EXPECT_EQ(endpoints_with_traffic, fleet.endpoint_count());
-}
-
-TEST(Fleet, WorkloadSplitIsIndependentOfShardCount) {
-  // The routing split happens before any event runs, so the per-endpoint
-  // request counts cannot depend on the shard layout.
-  const hw::Catalog catalog = generated(32);
-  trace::PoissonOptions poisson;
-  poisson.duration_ms = 30'000.0;
-  poisson.mean_rps = 150.0;
-  poisson.seed = 11;
-  const trace::Trace global = trace::make_poisson_trace(poisson);
-  std::vector<std::uint64_t> reference;
-  for (const int shards : {1, 2, 4}) {
-    sim::Simulator simulator(sim::ShardOptions{.shards = shards});
-    FleetConfig config;
-    config.endpoints = 5;
-    Fleet fleet(simulator, Rng(17), models::Zoo::instance(), catalog, config,
-                paldia_factory(models::Zoo::instance()));
-    fleet.add_workload(models::ModelId::kMobileNet, global);
-    std::vector<std::uint64_t> split;
-    for (int e = 0; e < fleet.endpoint_count(); ++e) {
-      split.push_back(fleet.endpoint_requests(e));
-    }
-    if (reference.empty()) {
-      reference = split;
-    } else {
-      EXPECT_EQ(reference, split) << "shards=" << shards;
-    }
-  }
 }
 
 }  // namespace

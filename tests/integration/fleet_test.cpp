@@ -1,6 +1,6 @@
-// Fleet-scale selection scenario (exp/fleet.hpp): a generated catalog
-// driven by 100+ endpoints through HardwareSelection directly.
-#include "src/exp/fleet.hpp"
+// Selection sweep (exp/selection_sweep.hpp): a generated catalog driven by
+// 100+ endpoints through HardwareSelection directly.
+#include "src/exp/selection_sweep.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,13 +13,13 @@ namespace {
 
 TEST(Fleet, ScheduleIsDeterministicAndPruneAgnostic) {
   const auto& zoo = models::Zoo::instance();
-  FleetConfig config;
+  SelectionSweepConfig config;
   config.endpoints = 16;
   config.ticks = 8;
-  const auto a = build_fleet_schedule(config, zoo);
+  const auto a = build_sweep_schedule(config, zoo);
   config.prune = false;  // prune mode must not touch the demand stream
   config.slo_headroom = 0.70;
-  const auto b = build_fleet_schedule(config, zoo);
+  const auto b = build_sweep_schedule(config, zoo);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t e = 0; e < a.size(); ++e) {
     ASSERT_EQ(a[e].size(), b[e].size());
@@ -44,15 +44,17 @@ TEST(Fleet, PrunedAndLinearDigestsMatchOnLargeCatalog) {
   const hw::Catalog catalog = hw::generate_catalog(gen);
   const models::ProfileTable profile(catalog);
 
-  FleetConfig config;
+  SelectionSweepConfig config;
   config.endpoints = 100;  // the issue's fleet floor
   config.ticks = 6;
-  const auto schedule = build_fleet_schedule(config, zoo);
+  const auto schedule = build_sweep_schedule(config, zoo);
 
-  FleetConfig linear = config;
+  SelectionSweepConfig linear = config;
   linear.prune = false;
-  const auto pruned = run_fleet(config, schedule, zoo, catalog, profile);
-  const auto exhaustive = run_fleet(linear, schedule, zoo, catalog, profile);
+  const auto pruned =
+      run_selection_sweep(config, schedule, zoo, catalog, profile);
+  const auto exhaustive =
+      run_selection_sweep(linear, schedule, zoo, catalog, profile);
 
   EXPECT_EQ(pruned.choices, 600);
   EXPECT_EQ(pruned.choices, exhaustive.choices);
@@ -79,16 +81,18 @@ TEST(Fleet, HeadroomSweepTradesCostForAttainment) {
   const hw::Catalog catalog = hw::generate_catalog(gen);
   const models::ProfileTable profile(catalog);
 
-  FleetConfig config;
+  SelectionSweepConfig config;
   config.endpoints = 40;
   config.ticks = 6;
-  const auto schedule = build_fleet_schedule(config, zoo);
+  const auto schedule = build_sweep_schedule(config, zoo);
 
-  FleetConfig lax = config, strict = config;
+  SelectionSweepConfig lax = config, strict = config;
   lax.slo_headroom = 0.95;   // largest budget: most candidates feasible
   strict.slo_headroom = 0.70;  // tightest budget
-  const auto lax_result = run_fleet(lax, schedule, zoo, catalog, profile);
-  const auto strict_result = run_fleet(strict, schedule, zoo, catalog, profile);
+  const auto lax_result =
+      run_selection_sweep(lax, schedule, zoo, catalog, profile);
+  const auto strict_result =
+      run_selection_sweep(strict, schedule, zoo, catalog, profile);
   // A tighter budget can only reduce the feasible count.
   EXPECT_LE(strict_result.feasible, lax_result.feasible);
 }

@@ -2,7 +2,7 @@
 // failures every sustained violation burst raises a firing -> resolved
 // incident whose blame hint is a cause attribution actually charged, a
 // compliant run raises zero alerts, the alert stream is byte-identical
-// across worker-thread and shard counts, and the inline report's "health"
+// with and without a worker pool, and the inline report's "health"
 // section equals the `paldia-analyze --alerts` reconstruction byte for byte.
 #include <gtest/gtest.h>
 
@@ -43,9 +43,8 @@ Scenario health_scenario(bool failures) {
 /// give each window enough evaluations. slo_target 0.99 puts the breach
 /// point at a 14.4% violation fraction — far above cold-start stragglers,
 /// far below a downed node.
-SchemeFactoryOptions health_options(int shards) {
+SchemeFactoryOptions health_options() {
   SchemeFactoryOptions options;
-  options.shards = shards;
   options.slo_target = 0.99;
   options.burn_fast_ms = 2000.0;
   options.burn_slow_ms = 8000.0;
@@ -60,10 +59,10 @@ struct HealthRun {
   std::size_t reps = 0;
 };
 
-HealthRun run_health(bool failures, int shards, ThreadPool* pool,
+HealthRun run_health(bool failures, ThreadPool* pool,
                      SchemeId scheme = SchemeId::kPaldia) {
   Runner runner(models::Zoo::instance(), hw::Catalog::instance(), pool,
-                health_options(shards));
+                health_options());
   const Scenario scenario = health_scenario(failures);
   obs::RunTrace trace;
   trace.capture_events = false;  // health needs no event buffers
@@ -92,7 +91,7 @@ HealthRun run_health(bool failures, int shards, ThreadPool* pool,
 
 TEST(HealthPipeline, InjectedFailuresRaiseResolvedIncidentsWithSoundBlame) {
   ThreadPool pool(8);
-  const HealthRun run = run_health(/*failures=*/true, /*shards=*/1, &pool);
+  const HealthRun run = run_health(/*failures=*/true, &pool);
 
   ASSERT_EQ(run.reps, 2u);
   ASSERT_TRUE(run.inline_health.enabled);
@@ -140,7 +139,7 @@ TEST(HealthPipeline, CompliantRunRaisesZeroAlerts) {
   // so the compliant reference pins the V100 from t = 0: no hardware
   // switch, no sustained burn, nothing for the detectors to find.
   ThreadPool pool(8);
-  const HealthRun run = run_health(/*failures=*/false, /*shards=*/1, &pool,
+  const HealthRun run = run_health(/*failures=*/false, &pool,
                                    SchemeId::kMpsOnlyPerf);
   ASSERT_TRUE(run.inline_health.enabled);
   EXPECT_TRUE(run.inline_health.alerts.empty())
@@ -150,23 +149,19 @@ TEST(HealthPipeline, CompliantRunRaisesZeroAlerts) {
   EXPECT_EQ(run.inline_health.false_positives, 0u);
 }
 
-TEST(HealthPipeline, AlertStreamBitIdenticalAcrossThreadsAndShards) {
+TEST(HealthPipeline, AlertStreamBitIdenticalAcrossThreads) {
   ThreadPool pool(8);
-  const HealthRun serial = run_health(true, /*shards=*/1, nullptr);
+  const HealthRun serial = run_health(true, nullptr);
   ASSERT_FALSE(serial.alerts_jsonl.empty());
 
-  const HealthRun pooled = run_health(true, /*shards=*/1, &pool);
+  const HealthRun pooled = run_health(true, &pool);
   EXPECT_EQ(serial.alerts_jsonl, pooled.alerts_jsonl);
   EXPECT_EQ(serial.inline_report_json, pooled.inline_report_json);
-
-  const HealthRun sharded = run_health(true, /*shards=*/4, &pool);
-  EXPECT_EQ(serial.alerts_jsonl, sharded.alerts_jsonl);
-  EXPECT_EQ(serial.inline_report_json, sharded.inline_report_json);
 }
 
 TEST(HealthPipeline, OfflineAlertAnalysisMatchesInlineByteForByte) {
   ThreadPool pool(8);
-  const HealthRun run = run_health(true, 1, &pool);
+  const HealthRun run = run_health(true, &pool);
 
   // Same path `paldia-analyze --alerts` takes: parse the stream, rebuild
   // the health section, serialize the report.
@@ -183,7 +178,7 @@ TEST(HealthPipeline, OfflineAlertAnalysisMatchesInlineByteForByte) {
 TEST(HealthPipeline, ChromeTraceGainsAHealthLane) {
   ThreadPool pool(4);
   Runner runner(models::Zoo::instance(), hw::Catalog::instance(), &pool,
-                health_options(1));
+                health_options());
   const Scenario scenario = health_scenario(true);
   obs::RunTrace trace;
   trace.collect_health = true;  // events on too: the lane joins the pids

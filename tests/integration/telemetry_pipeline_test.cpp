@@ -1,7 +1,7 @@
 // End-to-end contract of the fleet-scale telemetry layer: with trace
 // sampling on (--sample-rate=8) every export surface — sampled Chrome
 // trace, metrics, decision log, rollup stream, analysis report — stays
-// byte-identical across worker-thread counts and shard counts; the sampled
+// byte-identical with and without a worker pool; the sampled
 // report carries the exact same request/violation/cause/compliance counts
 // as the unsampled one; compliant retention is statistically 1-in-N with
 // violators always kept; and a rollup-only run (no tracer slots at all)
@@ -59,11 +59,10 @@ struct Exports {
   std::uint64_t sampled_out = 0;
 };
 
-Exports run_exports(std::uint32_t sample_rate, int shards, ThreadPool* pool,
+Exports run_exports(std::uint32_t sample_rate, ThreadPool* pool,
                     const std::string& tag) {
   SchemeFactoryOptions options;
   options.sample_rate = sample_rate;
-  options.shards = shards;
   Runner runner(models::Zoo::instance(), hw::Catalog::instance(), pool,
                 options);
   const Scenario scenario = telemetry_scenario();
@@ -115,32 +114,25 @@ Exports run_exports(std::uint32_t sample_rate, int shards, ThreadPool* pool,
   return exports;
 }
 
-TEST(TelemetryPipeline, SampledExportsBitIdenticalAcrossThreadsAndShards) {
+TEST(TelemetryPipeline, SampledExportsBitIdenticalAcrossThreads) {
   ThreadPool pool(8);
-  const Exports serial = run_exports(8, 1, &pool, "r8s1");
-  ASSERT_FALSE(serial.chrome_trace.empty());
-  ASSERT_FALSE(serial.rollups.empty());
-  EXPECT_GT(serial.sampled_out, 0u);
+  const Exports pooled = run_exports(8, &pool, "r8pool");
+  ASSERT_FALSE(pooled.chrome_trace.empty());
+  ASSERT_FALSE(pooled.rollups.empty());
+  EXPECT_GT(pooled.sampled_out, 0u);
 
-  const Exports sharded = run_exports(8, 4, &pool, "r8s4");
-  EXPECT_EQ(serial.chrome_trace, sharded.chrome_trace);
-  EXPECT_EQ(serial.metrics, sharded.metrics);
-  EXPECT_EQ(serial.decisions, sharded.decisions);
-  EXPECT_EQ(serial.rollups, sharded.rollups);
-  EXPECT_EQ(serial.report, sharded.report);
-
-  const Exports inline_drain = run_exports(8, 4, nullptr, "r8inline");
-  EXPECT_EQ(serial.chrome_trace, inline_drain.chrome_trace);
-  EXPECT_EQ(serial.metrics, inline_drain.metrics);
-  EXPECT_EQ(serial.decisions, inline_drain.decisions);
-  EXPECT_EQ(serial.rollups, inline_drain.rollups);
-  EXPECT_EQ(serial.report, inline_drain.report);
+  const Exports serial = run_exports(8, nullptr, "r8serial");
+  EXPECT_EQ(pooled.chrome_trace, serial.chrome_trace);
+  EXPECT_EQ(pooled.metrics, serial.metrics);
+  EXPECT_EQ(pooled.decisions, serial.decisions);
+  EXPECT_EQ(pooled.rollups, serial.rollups);
+  EXPECT_EQ(pooled.report, serial.report);
 }
 
 TEST(TelemetryPipeline, SampledReportCountsMatchUnsampledExactly) {
   ThreadPool pool(8);
-  const Exports full = run_exports(1, 1, &pool, "r1");
-  const Exports sampled = run_exports(8, 1, &pool, "r8");
+  const Exports full = run_exports(1, &pool, "r1");
+  const Exports sampled = run_exports(8, &pool, "r8");
 
   EXPECT_EQ(full.sampled_out, 0u);
   EXPECT_GT(sampled.sampled_out, 0u);
@@ -174,8 +166,8 @@ TEST(TelemetryPipeline, SampledReportCountsMatchUnsampledExactly) {
 TEST(TelemetryPipeline, CompliantRetentionIsStatisticallyOneInN) {
   ThreadPool pool(8);
   const std::uint32_t rate = 8;
-  const Exports full = run_exports(1, 1, &pool, "stat1");
-  const Exports sampled = run_exports(rate, 1, &pool, "stat8");
+  const Exports full = run_exports(1, &pool, "stat1");
+  const Exports sampled = run_exports(rate, &pool, "stat8");
 
   // Completed lifecycles only (unserved requests never produce spans).
   const std::uint64_t total = sampled.kept_lifecycles + sampled.sampled_out;
@@ -198,7 +190,7 @@ TEST(TelemetryPipeline, CompliantRetentionIsStatisticallyOneInN) {
 
 TEST(TelemetryPipeline, RollupOnlyRunReproducesComplianceWithoutTracerSlots) {
   ThreadPool pool(8);
-  const Exports full = run_exports(1, 1, &pool, "ro_full");
+  const Exports full = run_exports(1, &pool, "ro_full");
 
   SchemeFactoryOptions options;
   Runner runner(models::Zoo::instance(), hw::Catalog::instance(), &pool,

@@ -28,22 +28,22 @@ TEST(Profiler, RecordAccumulatesPerPhase) {
   EXPECT_EQ(sweep.total_ns, 4000u);
   EXPECT_EQ(sweep.max_ns, 3000u);
   EXPECT_EQ(profiler.phase(ProfilePhase::kDispatchTick).calls, 1u);
-  EXPECT_EQ(profiler.phase(ProfilePhase::kEpochMerge).calls, 0u);
+  EXPECT_EQ(profiler.phase(ProfilePhase::kMonitorTick).calls, 0u);
 }
 
 TEST(Profiler, MergeSumsCallsAndTakesMaxOfMaxes) {
   Profiler a;
-  a.record(ProfilePhase::kEpochExtract, 100);
-  a.record(ProfilePhase::kEpochExtract, 900);
+  a.record(ProfilePhase::kSelectionSweep, 100);
+  a.record(ProfilePhase::kSelectionSweep, 900);
   Profiler b;
-  b.record(ProfilePhase::kEpochExtract, 400);
+  b.record(ProfilePhase::kSelectionSweep, 400);
   b.record(ProfilePhase::kMonitorTick, 50);
 
   a.merge(b);
-  const PhaseStats& extract = a.phase(ProfilePhase::kEpochExtract);
-  EXPECT_EQ(extract.calls, 3u);
-  EXPECT_EQ(extract.total_ns, 1400u);
-  EXPECT_EQ(extract.max_ns, 900u);
+  const PhaseStats& sweep = a.phase(ProfilePhase::kSelectionSweep);
+  EXPECT_EQ(sweep.calls, 3u);
+  EXPECT_EQ(sweep.total_ns, 1400u);
+  EXPECT_EQ(sweep.max_ns, 900u);
   EXPECT_EQ(a.phase(ProfilePhase::kMonitorTick).calls, 1u);
 }
 
@@ -85,12 +85,12 @@ TEST(SummarizeProfile, MergesRepsIntoPhaseOrderedRows) {
   trace.profiles.push_back(std::make_unique<Profiler>());
   // Record out of phase order to confirm rows come back in enum order.
   trace.profiles[0]->record(ProfilePhase::kMonitorTick, 2'000'000);  // 2 ms
-  trace.profiles[0]->record(ProfilePhase::kEpochExtract, 1'000'000);
-  trace.profiles[1]->record(ProfilePhase::kEpochExtract, 3'000'000);
+  trace.profiles[0]->record(ProfilePhase::kSelectionSweep, 1'000'000);
+  trace.profiles[1]->record(ProfilePhase::kSelectionSweep, 3'000'000);
 
   const auto rows = summarize_profile(trace);
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].phase, "epoch_extract");
+  EXPECT_EQ(rows[0].phase, "selection_sweep");
   EXPECT_EQ(rows[0].calls, 2u);
   EXPECT_DOUBLE_EQ(rows[0].total_ms, 4.0);
   EXPECT_DOUBLE_EQ(rows[0].mean_us, 2000.0);

@@ -55,8 +55,9 @@ TEST(Ewma, ZeroTrendAlphaIsClassicEwma) {
 }
 
 TEST(Ewma, IgnoresDuplicateAndOutOfOrderObservations) {
-  // Sharded delivery can replay a monitor sample (same now) or hand one in
-  // late (now < last). Both are stale: the predictor state must not move.
+  // observe() is public: a caller can repeat a timestamp (same now) or hand
+  // one in late (now < last). Both are stale, and either would make the
+  // trend's dt non-positive, so the predictor state must not move.
   EwmaPredictor predictor(0.5, 0.35);
   predictor.observe(0.0, 100.0);
   predictor.observe(1000.0, 110.0);
