@@ -105,7 +105,6 @@ int main(int argc, char** argv) {
       models::ProfileTable profile(hw::Catalog::instance());
       core::PaldiaPolicyConfig config;
       config.selection.performance_band_ms = band;
-      config.tmax_cache = options.tmax_cache;
       auto policy = std::make_unique<core::PaldiaPolicy>(
           models::Zoo::instance(), hw::Catalog::instance(), profile, nullptr, config);
       core::FrameworkConfig framework_config = local.framework;

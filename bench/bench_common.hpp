@@ -39,21 +39,6 @@ struct BenchOptions {
   /// all runs of the sweep, written as JSON at exit. The same analysis
   /// `paldia-analyze` performs offline on --trace-out files.
   std::string report_out;
-  /// --no-tmax-cache: run the Eq. 1 sweep memoization in bypass mode —
-  /// identical lookups and hit/miss counters, but every sweep recomputes.
-  /// Exports must come out byte-identical to the cached run; this flag is
-  /// the reference side of that check.
-  bool tmax_cache = true;
-  /// --no-request-pool: run the request-path arena in bypass mode — same
-  /// block API and bookkeeping, but every buffer is dropped on release and
-  /// re-allocated on acquire (plain-vector behaviour). Exports must come
-  /// out byte-identical to the pooled run.
-  bool request_pool = true;
-  /// --no-prune: run Algorithm 1's candidate sweep as the exhaustive linear
-  /// enumeration instead of the pruned (capability-masked, lower-bounded,
-  /// cost-bucketed) walk. Choices and exports must come out byte-identical
-  /// to the pruned run; this flag is the reference side of that check.
-  bool prune = true;
   /// --sample-rate=N: keep every SLO-violating request lifecycle in the
   /// trace plus a deterministic 1-in-N of compliant ones (1 = keep all).
   /// The decision hashes the request id against a fixed seed — never wall
@@ -132,12 +117,6 @@ inline BenchOptions parse_options(
       options.report_out = arg.substr(13);
     } else if (arg == "--full") {
       options.full = true;
-    } else if (arg == "--no-tmax-cache") {
-      options.tmax_cache = false;
-    } else if (arg == "--no-request-pool") {
-      options.request_pool = false;
-    } else if (arg == "--no-prune") {
-      options.prune = false;
     } else if (arg.rfind("--sample-rate=", 0) == 0) {
       options.sample_rate = static_cast<std::uint32_t>(
           std::max(1, parse_number<int>("--sample-rate", arg.substr(14))));
@@ -166,8 +145,7 @@ inline BenchOptions parse_options(
           parse_number<double>("--burn-windows", windows.substr(comma + 1));
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--reps=N] [--threads=N] [--full] [--no-tmax-cache]\n"
-          "          [--no-request-pool] [--no-prune]\n"
+          "usage: %s [--reps=N] [--threads=N] [--full]\n"
           "          [--trace-out=FILE.json]   Chrome trace-event JSON per\n"
           "                                    (scenario, scheme) run (Perfetto)\n"
           "          [--metrics-out=FILE]      RunMetrics rows, streaming\n"
@@ -176,12 +154,6 @@ inline BenchOptions parse_options(
           "                                    per monitor tick per repetition\n"
           "          [--report-out=FILE.json]  violation-attribution +\n"
           "                                    calibration report over the sweep\n"
-          "          [--no-tmax-cache]         recompute every Eq. 1 sweep\n"
-          "                                    (memoization bypass reference)\n"
-          "          [--no-request-pool]       drop request buffers instead of\n"
-          "                                    pooling (arena bypass reference)\n"
-          "          [--no-prune]              exhaustive linear Algorithm 1\n"
-          "                                    sweep (pruning bypass reference)\n"
           "          [--sample-rate=N]         keep all SLO violators + 1-in-N\n"
           "                                    compliant lifecycles in the trace\n"
           "                                    (deterministic; counts stay exact)\n"
@@ -223,9 +195,6 @@ inline ThreadPool& shared_pool(const BenchOptions& options) {
 /// with extra knobs (tmax_beta, offline split) start from this and override.
 inline exp::SchemeFactoryOptions factory_options(const BenchOptions& options) {
   exp::SchemeFactoryOptions factory;
-  factory.tmax_cache = options.tmax_cache;
-  factory.request_pool = options.request_pool;
-  factory.prune = options.prune;
   factory.sample_rate = options.sample_rate;
   factory.slo_target = options.slo_target;
   factory.burn_fast_ms = options.burn_fast_ms;

@@ -2,10 +2,10 @@
 // (--catalog=gen:N) driven by 100+ endpoints of random-walk demand, with a
 // fig. 5-style cost-vs-SLO frontier swept over the selection headroom.
 //
-// Also the fleet-scale face of the --no-prune equivalence check: before the
-// frontier runs, the pruned and exhaustive-linear modes are executed over
-// the same schedule and their choice digests compared — any divergence is a
-// hard failure (exit 1), mirroring the byte-identity CI on fig04 exports.
+// Also the fleet-scale equivalence check of the pruned Algorithm 1 walk:
+// before the frontier runs, the pruned walk and the exhaustive linear
+// reference scan are executed over the same schedule and their choice
+// digests compared — any divergence is a hard failure (exit 1).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +26,6 @@ struct Options {
   int fleet_nodes = 120;
   int ticks = 40;
   std::uint64_t seed = 2026;
-  bool prune = true;
 };
 
 Options parse(int argc, char** argv) {
@@ -43,19 +42,15 @@ Options parse(int argc, char** argv) {
           std::max(1, bench::parse_number<int>("--ticks", arg.substr(8)));
     } else if (arg.rfind("--seed=", 0) == 0) {
       options.seed = bench::parse_number<std::uint64_t>("--seed", arg.substr(7));
-    } else if (arg == "--no-prune") {
-      options.prune = false;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--catalog=gen:N[:seed=S][:gpu=F]] [--fleet-nodes=N]\n"
-          "          [--ticks=N] [--seed=S] [--no-prune]\n"
+          "          [--ticks=N] [--seed=S]\n"
           "  --catalog=SPEC     device catalog: 'table2' or 'gen:<count>'\n"
           "                     with optional :seed=/:gpu=/:noise=/:twins=\n"
           "  --fleet-nodes=N    model endpoints in the fleet (default 120)\n"
           "  --ticks=N          monitor ticks per endpoint (default 40)\n"
-          "  --seed=S           demand random-walk seed (default 2026)\n"
-          "  --no-prune         exhaustive linear Algorithm 1 sweep\n"
-          "                     (pruning bypass reference)\n",
+          "  --seed=S           demand random-walk seed (default 2026)\n",
           argv[0]);
       std::exit(0);
     } else {
@@ -72,10 +67,7 @@ int main(int argc, char** argv) {
 
   std::string error;
   const auto gen = hw::parse_catalog_spec(options.catalog_spec, &error);
-  if (!gen.has_value() && !error.empty()) {
-    std::fprintf(stderr, "error: --catalog: %s\n", error.c_str());
-    return 1;
-  }
+  if (!gen.has_value() && !error.empty()) bench::usage_error("--catalog: " + error);
   const hw::Catalog catalog =
       gen.has_value() ? hw::generate_catalog(*gen) : hw::Catalog::instance();
   const models::ProfileTable profile(catalog);
@@ -97,7 +89,6 @@ int main(int argc, char** argv) {
   config.endpoints = options.fleet_nodes;
   config.ticks = options.ticks;
   config.seed = options.seed;
-  config.prune = options.prune;
   const auto schedule = exp::build_sweep_schedule(config, zoo);
 
   // Equivalence self-check: the pruned and linear modes must choose

@@ -56,10 +56,9 @@ FleetFlags parse_fleet_flags(int argc, char** argv) {
       } else if (name == "molecule-perf") {
         flags.scheme = exp::SchemeId::kMoleculePerf;
       } else {
-        std::fprintf(stderr,
-                     "error: --scheme wants paldia|infless-cost|infless-perf|"
-                     "molecule-cost|molecule-perf, got '%s'\n", name.c_str());
-        std::exit(1);
+        bench::usage_error(
+            "--scheme wants paldia|infless-cost|infless-perf|molecule-cost|"
+            "molecule-perf, got '" + name + "'");
       }
     } else if (arg.rfind("--catalog=", 0) == 0) {
       flags.catalog_given = true;
@@ -95,10 +94,7 @@ int main(int argc, char** argv) {
 
   std::string error;
   const auto gen = hw::parse_catalog_spec(options.catalog, &error);
-  if (!gen.has_value() && !error.empty()) {
-    std::fprintf(stderr, "error: --catalog: %s\n", error.c_str());
-    return 1;
-  }
+  if (!gen.has_value() && !error.empty()) bench::usage_error("--catalog: " + error);
   const hw::Catalog catalog =
       gen.has_value() ? hw::generate_catalog(*gen) : hw::Catalog::instance();
   const auto& zoo = models::Zoo::instance();

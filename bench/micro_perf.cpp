@@ -83,7 +83,7 @@ void SelectionSweepLargeCatalog(benchmark::State& state, bool prune) {
   core::HardwareSelectionConfig config;
   config.prune = prune;
   core::HardwareSelection selection(models::Zoo::instance(), catalog, profile,
-                                    optimizer, nullptr, config);
+                                    optimizer, config);
   std::vector<std::vector<core::DemandSnapshot>> demands;
   for (int i = 0; i < 32; ++i) {
     core::DemandSnapshot demand;
@@ -187,23 +187,17 @@ void BM_FleetRoute(benchmark::State& state) {
 BENCHMARK(BM_FleetRoute);
 
 void BM_TmaxCacheHit(benchmark::State& state) {
-  // Steady-state cost of a memoized Eq. 1 sweep: one mutex + hash lookup
-  // instead of the full y-sweep. Compare with BM_YOptimizerSweep — the gap
-  // is what the cache saves on every revisited operating point.
+  // Steady-state cost of a memoized Eq. 1 sweep: one hash lookup instead of
+  // the full y-sweep. Compare with BM_YOptimizerSweep — the gap is what the
+  // cache saves on every revisited operating point.
   perfmodel::YOptimizer optimizer(perfmodel::TmaxModel(0.2));
   perfmodel::TmaxCache cache;
-  const int n = 1024;
-  const perfmodel::WorkloadPoint point{n, 64, 90.0, 0.65, 200.0};
-  perfmodel::TmaxCache::Key key;
-  key.model = 1;
-  key.node = 2;
-  key.n_requests = n;
-  key.slo_q = perfmodel::TmaxCache::quantize_slo(point.slo_ms);
-  key.max_probes = perfmodel::kDefaultSweepProbes;
-  cache.best_split(optimizer, key, point, perfmodel::kDefaultSweepProbes);
+  const perfmodel::WorkloadPoint point{1024, 64, 90.0, 0.65, 200.0};
+  const auto model = models::ModelId::kResNet50;
+  const auto node = hw::NodeType::kG3s_xlarge;
+  cache.best_split(optimizer, model, node, point);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cache.best_split(optimizer, key, point, perfmodel::kDefaultSweepProbes));
+    benchmark::DoNotOptimize(cache.best_split(optimizer, model, node, point));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel("memoized sweep lookup");

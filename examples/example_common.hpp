@@ -5,6 +5,9 @@
 // seed independently of execution order and lands in a fixed result slot,
 // so the numbers printed with --threads=8 are bit-identical to --threads=1
 // (see README "Deterministic parallelism").
+//
+// Numbers parse by the bench drivers' rule (bench::parse_number): the whole
+// argument or exit 2 with a message, so a typo never runs a default.
 #pragma once
 
 #include <cstdlib>
@@ -14,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench/bench_common.hpp"
 #include "src/common/thread_pool.hpp"
 
 namespace examples {
@@ -29,15 +33,15 @@ inline Args parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--threads=", 0) == 0) {
-      args.threads = std::max(1, std::atoi(argv[i] + 10));
+      args.threads =
+          std::max(1, paldia::bench::parse_number<int>("--threads", arg.substr(10)));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0] << " [--threads=N] [positional args]\n"
                 << "  --threads=N  run repetitions on N worker threads\n"
                 << "               (output is bit-identical to --threads=1)\n";
       std::exit(0);
     } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << " (try --help)\n";
-      std::exit(2);
+      paldia::bench::usage_error("unknown option '" + std::string(arg) + "'");
     } else {
       args.positional.emplace_back(arg);
     }
@@ -55,15 +59,12 @@ inline paldia::ThreadPool* pool_for(const Args& args) {
   return pool.get();
 }
 
-inline int positional_int(const Args& args, std::size_t index, int fallback) {
+/// Positional argument `index` parsed in full as a T; `fallback` when absent.
+template <typename T>
+T positional(const Args& args, std::size_t index, T fallback) {
   if (index >= args.positional.size()) return fallback;
-  return std::atoi(args.positional[index].c_str());
-}
-
-inline double positional_double(const Args& args, std::size_t index,
-                                double fallback) {
-  if (index >= args.positional.size()) return fallback;
-  return std::atof(args.positional[index].c_str());
+  return paldia::bench::parse_number<T>("argument " + std::to_string(index + 1),
+                                        args.positional[index]);
 }
 
 }  // namespace examples

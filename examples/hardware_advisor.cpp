@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const auto args = examples::parse_args(argc, argv);
 
   const int model_index =
-      std::clamp(examples::positional_int(args, 0, 0), 0, models::kModelCount - 1);
+      std::clamp(examples::positional(args, 0, 0), 0, models::kModelCount - 1);
   const auto model = models::ModelId(model_index);
 
   models::ProfileTable profile(hw::Catalog::instance());

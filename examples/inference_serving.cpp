@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   const auto args = examples::parse_args(argc, argv);
 
   const int model_index =
-      std::clamp(examples::positional_int(args, 0, 0), 0, models::kModelCount - 1);
-  const int reps = std::max(1, examples::positional_int(args, 1, 2));
+      std::clamp(examples::positional(args, 0, 0), 0, models::kModelCount - 1);
+  const int reps = std::max(1, examples::positional(args, 1, 2));
   const auto model = models::ModelId(model_index);
   const auto& spec = models::Zoo::instance().spec(model);
 

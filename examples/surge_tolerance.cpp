@@ -17,8 +17,11 @@ int main(int argc, char** argv) {
   using namespace paldia;
   const auto args = examples::parse_args(argc, argv);
 
-  const double peak = examples::positional_double(args, 0, 225.0);
-  const double surge_s = examples::positional_double(args, 1, 45.0);
+  const double peak = examples::positional(args, 0, 225.0);
+  const double surge_s = examples::positional(args, 1, 45.0);
+  if (!(peak > 0.0 && surge_s > 0.0 && std::isfinite(peak) && std::isfinite(surge_s))) {
+    bench::usage_error("peak-rps and surge-seconds must be positive");
+  }
   constexpr auto kModel = models::ModelId::kDenseNet121;
 
   // Build the trace by hand: 60 s quiet at 10 rps, a raised-cosine surge to

@@ -6,14 +6,10 @@ namespace paldia::baselines {
 
 OraclePolicy::OraclePolicy(const models::Zoo& zoo, const hw::Catalog& catalog,
                            const models::ProfileTable& profile, ThreadPool* pool,
-                           double tmax_beta, bool tmax_cache,
-                           core::HardwareSelectionConfig selection)
+                           double tmax_beta)
     : SchedulerPolicy(catalog),
-      zoo_(&zoo),
-      profile_(&profile),
       optimizer_(perfmodel::TmaxModel(tmax_beta), pool),
-      tmax_cache_(/*bypass=*/!tmax_cache),
-      selection_(zoo, catalog, profile, optimizer_, pool, selection) {
+      selection_(zoo, catalog, profile, optimizer_) {
   selection_.set_tmax_cache(&tmax_cache_);
 }
 
@@ -51,36 +47,7 @@ hw::NodeType OraclePolicy::select_hardware(
 
 core::SplitPlan OraclePolicy::plan_dispatch(const core::DemandSnapshot& demand,
                                             hw::NodeType node, TimeMs /*now*/) {
-  core::SplitPlan plan;
-  const auto& model = zoo_->spec(demand.model);
-  const int n = demand.backlog;
-  if (n <= 0) return plan;
-
-  if (!catalog().spec(node).is_gpu()) {
-    const auto estimate = perfmodel::approx_cpu_t_max(model, *profile_, node, n,
-                                                      model.slo_ms * 0.85);
-    plan.use_cpu = true;
-    plan.batch_size = std::max(1, estimate.batch_size);
-    plan.temporal_requests = n;
-    return plan;
-  }
-
-  const int bs = std::min(model.max_batch, std::max(1, n));
-  const auto entry = profile_->lookup(model, node, bs);
-  perfmodel::WorkloadPoint point{n, bs, entry.solo_ms, entry.fbr,
-                                 model.slo_ms * 0.85, entry.compute};
-  perfmodel::TmaxCache::Key key;
-  key.model = static_cast<std::int16_t>(demand.model);
-  key.node = static_cast<std::int16_t>(node);
-  key.n_requests = n;
-  key.slo_q = perfmodel::TmaxCache::quantize_slo(point.slo_ms);
-  key.max_probes = perfmodel::kDefaultSweepProbes;
-  const auto decision = tmax_cache_.best_split(optimizer_, key, point,
-                                               perfmodel::kDefaultSweepProbes);
-  plan.batch_size = bs;
-  plan.temporal_requests = std::clamp(decision.y, 0, n);
-  plan.spatial_requests = n - plan.temporal_requests;
-  return plan;
+  return selection_.plan_dispatch(demand, node);
 }
 
 }  // namespace paldia::baselines

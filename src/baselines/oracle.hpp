@@ -2,7 +2,8 @@
 // Paldia's policies but perfect knowledge — it reads the *actual* future
 // arrival rate straight from the trace instead of predicting it, and
 // switches hardware without hysteresis (the ideal hardware timeline is
-// "known beforehand" via offline sweeps).
+// "known beforehand" via offline sweeps). Dispatch rounds are planned
+// exactly as Paldia plans them, by HardwareSelection::plan_dispatch.
 #pragma once
 
 #include <map>
@@ -17,8 +18,7 @@ class OraclePolicy final : public core::SchedulerPolicy {
  public:
   OraclePolicy(const models::Zoo& zoo, const hw::Catalog& catalog,
                const models::ProfileTable& profile, ThreadPool* pool = nullptr,
-               double tmax_beta = 0.2, bool tmax_cache = true,
-               core::HardwareSelectionConfig selection = {});
+               double tmax_beta = 0.2);
 
   /// Register the true trace of a workload (clairvoyance source).
   void reveal_trace(models::ModelId model, const trace::Trace& trace);
@@ -39,8 +39,6 @@ class OraclePolicy final : public core::SchedulerPolicy {
   core::DemandSnapshot clairvoyant(const core::DemandSnapshot& demand,
                                    TimeMs now) const;
 
-  const models::Zoo* zoo_;
-  const models::ProfileTable* profile_;
   perfmodel::YOptimizer optimizer_;
   perfmodel::TmaxCache tmax_cache_;
   core::HardwareSelection selection_;

@@ -17,8 +17,8 @@
 //
 // Bypass mode (Arena(false)) keeps all the bookkeeping but drops each
 // buffer's storage on release, so every acquisition re-allocates like a
-// plain vector — the --no-request-pool reference side of the byte-identity
-// check (the arena never changes values, only where they live).
+// plain vector — the reference side of Runner.PooledVsBypassBitIdentical
+// (the arena never changes values, only where they live).
 #pragma once
 
 #include <cstddef>

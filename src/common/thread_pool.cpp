@@ -59,8 +59,8 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     return;
   }
   // Chunked dynamic scheduling: workers pull the next index from a shared
-  // counter, which balances uneven per-index costs (e.g. CPU vs GPU nodes in
-  // the hardware sweep). The +1 shard is the caller, which helps drain its
+  // counter, which balances uneven per-index costs (e.g. repetitions of
+  // different lengths). The +1 shard is the caller, which helps drain its
   // own group below instead of blocking.
   auto counter = std::make_shared<std::atomic<std::size_t>>(0);
   auto group = std::make_shared<Group>();

@@ -1,15 +1,15 @@
-// Nestable worker pool used by the Hardware Selection module's parallel
-// y-sweep (Algorithm 1 probes candidate y values "in parallel" and candidate
-// nodes with par_for) and by the experiment runner's repetition sweep.
+// Nestable worker pool used by the Eq. 1 y-sweep (Algorithm 1 probes
+// candidate y values "in parallel") and by the bench drivers' scheme and
+// repetition sweeps.
 //
 // Completion is tracked per *task group*, not globally: every parallel_for
 // (and every submit batch awaited by wait_idle) drains its own latch, and a
 // caller that would block instead pulls its group's pending tasks off the
 // queue and runs them itself. That makes the executor safe to re-enter —
-// a pool worker evaluating one candidate node may open a nested
-// parallel_for over y candidates without deadlocking on its own in-flight
-// task, and two threads may run independent parallel_for calls concurrently
-// without observing each other's completion state.
+// a pool worker running one repetition may open a nested parallel_for over
+// y candidates without deadlocking on its own in-flight task, and two
+// threads may run independent parallel_for calls concurrently without
+// observing each other's completion state.
 //
 // Determinism note: all uses are pure reductions over precomputed inputs
 // writing to fixed slots, so scheduling order never affects results.

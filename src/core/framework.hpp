@@ -67,9 +67,9 @@ struct FrameworkConfig {
   /// records).
   obs::CalibrationTracker* calibration = nullptr;
   /// Pool the request path's buffers in the per-repetition RequestArena
-  /// (default). False = --no-request-pool bypass: same block API, but every
-  /// buffer is dropped on release and re-allocated on acquire, giving a
-  /// plain-vector reference run whose exports must stay byte-identical.
+  /// (default). False = bypass: same block API, but every buffer is dropped
+  /// on release and re-allocated on acquire, giving a plain-vector
+  /// reference run whose results must stay bit-identical.
   bool request_pool = true;
   /// Windowed rollup aggregation (null = disabled, single-branch cost).
   /// Fed every completion — independent of trace sampling — plus monitor-

@@ -11,12 +11,11 @@ namespace paldia::core {
 HardwareSelection::HardwareSelection(const models::Zoo& zoo, const hw::Catalog& catalog,
                                      const models::ProfileTable& profile,
                                      const perfmodel::YOptimizer& optimizer,
-                                     ThreadPool* pool, HardwareSelectionConfig config)
+                                     HardwareSelectionConfig config)
     : zoo_(&zoo),
       catalog_(&catalog),
       profile_(&profile),
       optimizer_(&optimizer),
-      pool_(pool),
       config_(config),
       index_(zoo, catalog, profile) {}
 
@@ -24,13 +23,34 @@ perfmodel::SharingDecision HardwareSelection::sweep(
     models::ModelId model, hw::NodeType node,
     const perfmodel::WorkloadPoint& point) const {
   if (cache_ == nullptr) return optimizer_->best_split(point);
-  perfmodel::TmaxCache::Key key;
-  key.model = static_cast<std::int16_t>(model);
-  key.node = static_cast<std::int16_t>(node);
-  key.n_requests = point.n_requests;
-  key.slo_q = perfmodel::TmaxCache::quantize_slo(point.slo_ms);
-  key.max_probes = perfmodel::kDefaultSweepProbes;
-  return cache_->best_split(*optimizer_, key, point, perfmodel::kDefaultSweepProbes);
+  return cache_->best_split(*optimizer_, model, node, point);
+}
+
+SplitPlan HardwareSelection::plan_dispatch(const DemandSnapshot& demand,
+                                           hw::NodeType node) const {
+  SplitPlan plan;
+  const auto& model = zoo_->spec(demand.model);
+  const int n = demand.backlog;
+  if (n <= 0) return plan;
+  const DurationMs budget = model.slo_ms * config_.slo_headroom;
+
+  if (!catalog_->spec(node).is_gpu()) {
+    const auto estimate = perfmodel::approx_cpu_t_max(model, *profile_, node, n, budget);
+    plan.use_cpu = true;
+    plan.batch_size = std::max(1, estimate.batch_size);
+    plan.temporal_requests = n;  // CPU mode serves batches sequentially
+    return plan;
+  }
+
+  const int bs = std::min(model.max_batch, std::max(1, n));
+  const auto entry = profile_->lookup(model, node, bs);
+  const auto decision = sweep(
+      demand.model, node,
+      perfmodel::WorkloadPoint{n, bs, entry.solo_ms, entry.fbr, budget, entry.compute});
+  plan.batch_size = bs;
+  plan.temporal_requests = std::clamp(decision.y, 0, n);
+  plan.spatial_requests = n - plan.temporal_requests;
+  return plan;
 }
 
 int HardwareSelection::coexisting_requests(const DemandSnapshot& demand,
@@ -371,7 +391,7 @@ HardwareChoice HardwareSelection::choose(const std::vector<DemandSnapshot>& dema
   const DurationMs band = std::max(0.0, config_.performance_band_ms);
 
   // Fast path: no observer. The pruned walk evaluates candidates lazily;
-  // the linear reference (--no-prune) evaluates the whole pool up front.
+  // the linear reference evaluates the whole pool up front.
   if (sweep == nullptr && config_.prune) {
     WalkOutcome walk =
         pruned_walk(demand, pool, [&](std::size_t i) { return evaluate(pool[i], demand); });
@@ -380,18 +400,12 @@ HardwareChoice HardwareSelection::choose(const std::vector<DemandSnapshot>& dema
     return evaluate(top.value_or(pool.front()), demand);
   }
 
-  // Observed (or linear) path: evaluate every pool member. With an observer
-  // attached this happens in *both* prune modes so the exported candidate
-  // tables — and the TmaxCache counters feeding the metrics stream — stay
-  // byte-identical between --no-prune and the default; the pruned walk is
-  // then replayed over the results to account the work it would have saved.
-  std::vector<HardwareChoice> choices(pool.size());
-  auto evaluate_one = [&](std::size_t i) { choices[i] = evaluate(pool[i], demand); };
-  if (pool_ != nullptr && pool.size() > 1) {
-    pool_->parallel_for(pool.size(), evaluate_one);
-  } else {
-    for (std::size_t i = 0; i < pool.size(); ++i) evaluate_one(i);
-  }
+  // Recorded (or linear) path: evaluate every pool member in cost order, as
+  // the decision log lists every candidate; the pruned walk is then
+  // replayed over the results to account the work it would have saved.
+  std::vector<HardwareChoice> choices;
+  choices.reserve(pool.size());
+  for (hw::NodeType node : pool) choices.push_back(evaluate(node, demand));
 
   WalkOutcome walk = pruned_walk(
       demand, pool, [&](std::size_t i) -> const HardwareChoice& { return choices[i]; });
@@ -416,7 +430,7 @@ HardwareChoice HardwareSelection::choose(const std::vector<DemandSnapshot>& dema
   }
   if (config_.prune) return walk.choice;
 
-  // Linear reference scan (--no-prune): Algorithm 1 exactly as written.
+  // Linear reference scan: Algorithm 1 exactly as written.
   // Walking the pool cheapest-first, the first *feasible CPU node*
   // short-circuits (the pseudocode's `break` after approx_T_max) — CPU
   // nodes handle low request rates whenever one suffices.

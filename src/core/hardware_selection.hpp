@@ -2,16 +2,17 @@
 //
 // Every monitor interval: predict demand ~4 s ahead, build the pool of
 // capable candidates from the profiles, sort by cost, evaluate each node's
-// best achievable T_max in parallel (CPU nodes via approx_T_max, GPU nodes
+// best achievable T_max in cost order (CPU nodes via approx_T_max, GPU nodes
 // via the parallel y-sweep), then choose the cheapest node within ~50 ms of
 // the most performant one. Hysteresis (wait_limit consecutive mismatches
 // before reconfiguring) lives in PaldiaPolicy, which owns the wait counter.
+// The same class plans each dispatch round's split (Section IV-D), so
+// Paldia and the Oracle share one Eq. 1 sweep and one planner.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include "src/common/thread_pool.hpp"
 #include "src/core/scheduler_policy.hpp"
 #include "src/core/selection_index.hpp"
 #include "src/hw/catalog.hpp"
@@ -26,16 +27,14 @@ namespace paldia::core {
 struct HardwareSelectionConfig {
   /// choose_best_HW: cheapest node within this much of the best T_max.
   DurationMs performance_band_ms = 50.0;
-  /// Prediction lookahead (matches the procurement delay).
-  DurationMs horizon_ms = 4000.0;
   /// Headroom factor on the SLO when judging feasibility (leaves room for
   /// batching delay and model error).
   double slo_headroom = 0.85;
   /// Pruned candidate enumeration (capability bitmasks, twin-dominance
   /// dedup, T_max lower bounds, cost-bucket early exit). false is the
-  /// --no-prune reference: the exhaustive linear sweep. Both settings
-  /// return identical choices and byte-identical exports (CI-enforced);
-  /// the flag only changes how much sweep work runs.
+  /// reference the equivalence tests and fleet_frontier's self-check
+  /// compare against: Algorithm 1's exhaustive linear scan. Both settings
+  /// return identical choices; this only changes how much sweep work runs.
   bool prune = true;
 };
 
@@ -57,9 +56,9 @@ struct SelectionSweep {
   /// Sweep-work accounting. The pruned walk touches `evaluated` of the
   /// `pool_size` capable candidates and proves the other `pruned` away
   /// (twin dedup, lower-bound skips, early exit); both counts are computed
-  /// by replaying the pruned walk, so they are identical under --no-prune
-  /// (the bypass changes work, never results — paldia-analyze reports the
-  /// savings either way). Escalations outside the pool count as evaluated.
+  /// by replaying the pruned walk over the recorded candidates, so they do
+  /// not depend on the prune setting. Escalations outside the pool count as
+  /// evaluated.
   int pool_size = 0;
   int evaluated = 0;
   int pruned = 0;
@@ -69,7 +68,7 @@ class HardwareSelection {
  public:
   HardwareSelection(const models::Zoo& zoo, const hw::Catalog& catalog,
                     const models::ProfileTable& profile,
-                    const perfmodel::YOptimizer& optimizer, ThreadPool* pool = nullptr,
+                    const perfmodel::YOptimizer& optimizer,
                     HardwareSelectionConfig config = {});
 
   /// Evaluate one candidate node against the demand (max T_max across
@@ -81,15 +80,19 @@ class HardwareSelection {
   /// feasible the most performant GPU is returned (the escalation path of
   /// Section III); on a CPU-only catalog the least-bad CPU is returned
   /// instead of aborting. When `sweep` is non-null it receives the whole
-  /// candidate evaluation (observability decision log) — every pool member
-  /// is then evaluated regardless of the prune setting, so exported
-  /// candidate tables and cache counters stay byte-identical across modes;
-  /// the pruned walk is replayed over the results for the work counts (and,
-  /// when pruning is on, the returned choice). With `sweep == nullptr` and
-  /// pruning on, the walk evaluates candidates lazily — the fleet-scale
-  /// fast path.
+  /// candidate evaluation (observability decision log): every pool member
+  /// is evaluated, cheapest first, and the pruned walk is replayed over the
+  /// results for the work counts (and, when pruning is on, the returned
+  /// choice). With `sweep == nullptr` and pruning on, the walk evaluates
+  /// candidates lazily — the fleet-scale fast path.
   HardwareChoice choose(const std::vector<DemandSnapshot>& demand,
                         SelectionSweep* sweep = nullptr) const;
+
+  /// The Job Distributor's plan for one dispatch round on `node`
+  /// (Section IV-D). A CPU node serves approx_cpu_t_max's batch size
+  /// sequentially; a GPU node splits N = backlog by the Eq. 1 y-sweep,
+  /// judged against the headroomed SLO.
+  SplitPlan plan_dispatch(const DemandSnapshot& demand, hw::NodeType node) const;
 
   /// Requests that must coexist on the node: the current backlog plus the
   /// predicted arrivals of one SLO window.
@@ -100,7 +103,8 @@ class HardwareSelection {
   /// Memoize the per-(model, node, N) y-sweeps through `cache` (owned by
   /// the policy; null disables memoization entirely). Because the sweep is
   /// deterministic over the immutable profile table, the cache only changes
-  /// wall-clock time — choose()/evaluate() results are bit-identical.
+  /// wall-clock time — choose()/evaluate()/plan_dispatch() results are
+  /// bit-identical.
   void set_tmax_cache(perfmodel::TmaxCache* cache) { cache_ = cache; }
 
   /// Analytic lower bound on evaluate(node).t_max_ms for a GPU node (two
@@ -141,7 +145,6 @@ class HardwareSelection {
   const models::ProfileTable* profile_;
   const perfmodel::YOptimizer* optimizer_;
   perfmodel::TmaxCache* cache_ = nullptr;
-  ThreadPool* pool_;
   HardwareSelectionConfig config_;
   SelectionIndex index_;
 };

@@ -10,11 +10,8 @@ PaldiaPolicy::PaldiaPolicy(const models::Zoo& zoo, const hw::Catalog& catalog,
                            const models::ProfileTable& profile, ThreadPool* pool,
                            PaldiaPolicyConfig config)
     : SchedulerPolicy(catalog),
-      zoo_(&zoo),
-      profile_(&profile),
       optimizer_(perfmodel::TmaxModel(config.tmax_beta), pool),
-      tmax_cache_(/*bypass=*/!config.tmax_cache),
-      selection_(zoo, catalog, profile, optimizer_, pool, config.selection),
+      selection_(zoo, catalog, profile, optimizer_, config.selection),
       config_(config) {
   selection_.set_tmax_cache(&tmax_cache_);
 }
@@ -40,10 +37,9 @@ hw::NodeType PaldiaPolicy::select_hardware(const std::vector<DemandSnapshot>& de
       tracer() != nullptr ? tracer()->current_decision() : nullptr;
   SelectionSweep sweep;
   // Collect the sweep whenever a tracer observes the run — not just while a
-  // decision record is open. An observed choose() evaluates the full pool
-  // in both prune modes, so the TmaxCache counters in the sampled metrics
-  // stream cannot drift between --no-prune and the default even after the
-  // decision log hits capacity mid-run.
+  // decision record is open — so an observed run evaluates the full pool on
+  // every tick and the TmaxCache counters in the sampled metrics stream do
+  // not depend on when the decision log fills up.
   const bool observed = tracer() != nullptr;
   const HardwareChoice choice =
       selection_.choose(demand, observed ? &sweep : nullptr);
@@ -150,37 +146,7 @@ hw::NodeType PaldiaPolicy::apply_hysteresis(const HardwareChoice& choice,
 
 SplitPlan PaldiaPolicy::plan_dispatch(const DemandSnapshot& demand, hw::NodeType node,
                                       TimeMs) {
-  SplitPlan plan;
-  const auto& model = zoo_->spec(demand.model);
-  const int n = demand.backlog;
-  if (n <= 0) return plan;
-
-  if (!profile_->catalog().spec(node).is_gpu()) {
-    const auto estimate = perfmodel::approx_cpu_t_max(
-        model, *profile_, node, n, model.slo_ms * config_.selection.slo_headroom);
-    plan.use_cpu = true;
-    plan.batch_size = std::max(1, estimate.batch_size);
-    plan.temporal_requests = n;  // CPU mode serves batches sequentially
-    return plan;
-  }
-
-  const int bs = std::min(model.max_batch, std::max(1, n));
-  const auto entry = profile_->lookup(model, node, bs);
-  perfmodel::WorkloadPoint point{n, bs, entry.solo_ms, entry.fbr,
-                                 model.slo_ms * config_.selection.slo_headroom,
-                                 entry.compute};
-  perfmodel::TmaxCache::Key key;
-  key.model = static_cast<std::int16_t>(demand.model);
-  key.node = static_cast<std::int16_t>(node);
-  key.n_requests = n;
-  key.slo_q = perfmodel::TmaxCache::quantize_slo(point.slo_ms);
-  key.max_probes = config_.sweep_max_probes;
-  const auto decision =
-      tmax_cache_.best_split(optimizer_, key, point, config_.sweep_max_probes);
-  plan.batch_size = bs;
-  plan.temporal_requests = std::clamp(decision.y, 0, n);
-  plan.spatial_requests = n - plan.temporal_requests;
-  return plan;
+  return selection_.plan_dispatch(demand, node);
 }
 
 }  // namespace paldia::core

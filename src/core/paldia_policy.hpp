@@ -1,6 +1,7 @@
 // PALDIA's scheduling policy: Algorithm 1 hardware selection with
 // hysteresis, plus hybrid spatio-temporal dispatch planning (Section IV-D:
-// the Job Distributor enacts the best y split computed by the model).
+// the Job Distributor enacts the best y split computed by the model). Both
+// decisions run through one HardwareSelection and its memoized Eq. 1 sweep.
 #pragma once
 
 #include <cstdint>
@@ -22,11 +23,6 @@ struct PaldiaPolicyConfig {
   /// keep-alive (Section IV-C).
   int downgrade_wait_limit = 24;
   double tmax_beta = 0.2;    // scheduler-side contention coefficient
-  int sweep_max_probes = perfmodel::kDefaultSweepProbes;
-  /// Memoize the Eq. 1 y-sweeps (exact — TmaxModel is deterministic).
-  /// false = bypass mode: identical lookups and counters, always recompute
-  /// (the --no-tmax-cache byte-identity reference).
-  bool tmax_cache = true;
 };
 
 class PaldiaPolicy final : public SchedulerPolicy {
@@ -49,7 +45,6 @@ class PaldiaPolicy final : public SchedulerPolicy {
   perfmodel::TmaxCacheStats tmax_cache_stats() const override {
     return tmax_cache_.stats();
   }
-  const perfmodel::TmaxCache& tmax_cache() const { return tmax_cache_; }
 
  private:
   /// Algorithm 1's tail: wait/downgrade/emergency counters deciding when
@@ -58,12 +53,9 @@ class PaldiaPolicy final : public SchedulerPolicy {
                                 const std::vector<DemandSnapshot>& demand);
 
   /// Flush cache hit/miss deltas into the tracer's counter registry (the
-  /// samples ride the monitor-tick counter dump). Identical in cached and
-  /// bypass mode, so enabling the cache never perturbs exported bytes.
+  /// samples ride the monitor-tick counter dump).
   void sync_cache_counters();
 
-  const models::Zoo* zoo_;
-  const models::ProfileTable* profile_;
   perfmodel::YOptimizer optimizer_;
   perfmodel::TmaxCache tmax_cache_;
   HardwareSelection selection_;

@@ -20,8 +20,8 @@
 //    walk buckets cheapest-first and stop at the first in-band winner.
 //
 // None of this changes any choice: the pruned sweep must match the linear
-// sweep bit-for-bit (CI byte-compares --no-prune runs; a randomized
-// equivalence test sweeps generated catalogs).
+// sweep bit-for-bit (a randomized equivalence test sweeps generated
+// catalogs, and fleet_frontier's self-check compares whole fleets).
 #pragma once
 
 #include <cstdint>

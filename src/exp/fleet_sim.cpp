@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "src/obs/attribution.hpp"
@@ -41,9 +40,8 @@ FleetSim::FleetSim(const models::Zoo& zoo, const hw::Catalog& catalog,
 FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
                              int endpoints, obs::RunTrace* trace) const {
   if (!fleet_supported(scheme)) {
-    std::fprintf(stderr, "FleetSim: scheme '%s' is not supported at fleet scale\n",
-                 scheme_name(scheme).c_str());
-    std::abort();
+    throw std::invalid_argument("scheme '" + scheme_name(scheme) +
+                                "' is not supported at fleet scale");
   }
   assert(endpoints >= 1);
   const auto slots = static_cast<std::size_t>(endpoints);

@@ -36,9 +36,9 @@ struct FleetSimResult {
 class FleetSim {
  public:
   /// `catalog` is the global fleet catalog (typically generated,
-  /// hw::parse_catalog_spec). The pool only parallelizes Algorithm 1's
-  /// candidate sweep inside each endpoint's policy; exports are identical
-  /// with or without it.
+  /// hw::parse_catalog_spec). The pool only parallelizes the probes of each
+  /// endpoint policy's Eq. 1 y-sweep; exports are identical with or without
+  /// it.
   FleetSim(const models::Zoo& zoo, const hw::Catalog& catalog,
            ThreadPool* pool = nullptr, SchemeFactoryOptions options = {});
 
@@ -50,9 +50,9 @@ class FleetSim {
   /// which select hardware over whatever catalog they are given (perf
   /// variants start on the slice's best GPU when it has one). Oracle (trace
   /// reveal predates the routing split) and the Table II pinned-node
-  /// figure-1 baselines (their pins name global indices) are rejected.
-  /// Throws std::invalid_argument when `endpoints` leaves a slice empty
-  /// (see core::FleetConfig::endpoints).
+  /// figure-1 baselines (their pins name global indices) are rejected with
+  /// std::invalid_argument, as is an `endpoints` count that leaves a slice
+  /// empty (see core::FleetConfig::endpoints).
   FleetSimResult run(const Scenario& scenario, SchemeId scheme, int endpoints,
                      obs::RunTrace* trace = nullptr) const;
 

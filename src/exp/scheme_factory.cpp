@@ -48,8 +48,6 @@ std::unique_ptr<core::SchedulerPolicy> SchemeFactory::make(SchemeId id) const {
     case SchemeId::kPaldia: {
       core::PaldiaPolicyConfig config;
       config.tmax_beta = options_.tmax_beta;
-      config.tmax_cache = options_.tmax_cache;
-      config.selection.prune = options_.prune;
       return std::make_unique<core::PaldiaPolicy>(*zoo_, *catalog_, *profile_, pool_,
                                                   config);
     }
@@ -65,13 +63,9 @@ std::unique_ptr<core::SchedulerPolicy> SchemeFactory::make(SchemeId id) const {
     case SchemeId::kMoleculePerf:
       return std::make_unique<MoleculePolicy>(*zoo_, *catalog_, *profile_,
                                               Variant::kPerformance);
-    case SchemeId::kOracle: {
-      core::HardwareSelectionConfig selection;
-      selection.prune = options_.prune;
+    case SchemeId::kOracle:
       return std::make_unique<baselines::OraclePolicy>(*zoo_, *catalog_, *profile_,
-                                                       pool_, options_.tmax_beta,
-                                                       options_.tmax_cache, selection);
-    }
+                                                       pool_, options_.tmax_beta);
     case SchemeId::kOfflineHybrid:
       return std::make_unique<baselines::OfflineHybridPolicy>(
           *zoo_, *catalog_, *profile_, cheap_gpu, options_.offline_spatial_fraction);

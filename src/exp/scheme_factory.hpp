@@ -35,12 +35,9 @@ struct SchemeFactoryOptions {
   double offline_spatial_fraction = 0.5;
   /// Scheduler-side contention coefficient for Paldia/Oracle.
   double tmax_beta = 0.2;
-  /// Memoize Eq. 1 sweeps in Paldia/Oracle. false = bypass mode (identical
-  /// lookups/counters, always recompute) — the --no-tmax-cache reference.
-  bool tmax_cache = true;
-  /// Pool request-path buffers in the per-repetition arena. false = the
-  /// --no-request-pool reference: same block API, every buffer dropped on
-  /// release — exports must stay byte-identical either way.
+  /// Pool request-path buffers in the per-repetition arena. false = same
+  /// block API, every buffer dropped on release — exports stay
+  /// byte-identical either way (Runner.PooledVsBypassBitIdentical).
   bool request_pool = true;
   /// Lifecycle trace sampling (--sample-rate): keep every SLO-violating
   /// request plus a deterministic 1-in-N of compliant ones (1 = keep all).
@@ -54,10 +51,6 @@ struct SchemeFactoryOptions {
   /// multi-window rule fires only when both breach the threshold.
   DurationMs burn_fast_ms = 60'000.0;
   DurationMs burn_slow_ms = 600'000.0;
-  /// Pruned Algorithm 1 candidate sweep in Paldia/Oracle. false = the
-  /// --no-prune reference: exhaustive linear enumeration — choices and
-  /// exports must stay byte-identical either way.
-  bool prune = true;
 };
 
 class SchemeFactory {

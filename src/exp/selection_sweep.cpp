@@ -90,12 +90,12 @@ SelectionSweepResult run_selection_sweep(
     const SelectionSweepConfig& config,
     const std::vector<std::vector<SweepDemand>>& schedule,
     const models::Zoo& zoo, const hw::Catalog& catalog,
-    const models::ProfileTable& profile, ThreadPool* pool) {
+    const models::ProfileTable& profile) {
   core::HardwareSelectionConfig selection_config;
   selection_config.slo_headroom = config.slo_headroom;
   selection_config.prune = config.prune;
-  perfmodel::YOptimizer optimizer{perfmodel::TmaxModel{}, pool};
-  core::HardwareSelection selection(zoo, catalog, profile, optimizer, pool,
+  perfmodel::YOptimizer optimizer{perfmodel::TmaxModel{}};
+  core::HardwareSelection selection(zoo, catalog, profile, optimizer,
                                     selection_config);
   // Same memoization the production policy attaches; the cache only changes
   // wall-clock time, never results, so the digest is cache-agnostic.
@@ -115,7 +115,7 @@ SelectionSweepResult run_selection_sweep(
   for (const auto& timeline : schedule) {
     for (const auto& tick : timeline) {
       // No sweep record: the timed loop runs the lazy pruned walk (or the
-      // plain linear sweep under --no-prune) — the production hot path.
+      // linear reference scan when prune is off) — the production hot path.
       const core::HardwareChoice choice = selection.choose(tick.models, nullptr);
       ++result.choices;
       if (choice.feasible) ++result.feasible;
@@ -161,10 +161,9 @@ SelectionSweepResult run_selection_sweep(
 SelectionSweepResult run_selection_sweep(const SelectionSweepConfig& config,
                                          const models::Zoo& zoo,
                                          const hw::Catalog& catalog,
-                                         const models::ProfileTable& profile,
-                                         ThreadPool* pool) {
+                                         const models::ProfileTable& profile) {
   return run_selection_sweep(config, build_sweep_schedule(config, zoo), zoo,
-                             catalog, profile, pool);
+                             catalog, profile);
 }
 
 }  // namespace paldia::exp

@@ -14,15 +14,13 @@
 //
 // Determinism contract: the demand schedule and every choice are pure
 // functions of (SelectionSweepConfig, catalog) — choice_digest hashes the
-// exact HardwareChoice stream, and the pruned and linear modes must produce
-// the same digest (the fleet-scale face of the --no-prune byte-identity
-// check).
+// exact HardwareChoice stream, and the pruned walk and the linear reference
+// scan must produce the same digest (fleet_frontier's self-check).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "src/common/thread_pool.hpp"
 #include "src/core/scheduler_policy.hpp"
 #include "src/hw/catalog.hpp"
 #include "src/models/profile.hpp"
@@ -71,13 +69,12 @@ SelectionSweepResult run_selection_sweep(
     const SelectionSweepConfig& config,
     const std::vector<std::vector<SweepDemand>>& schedule,
     const models::Zoo& zoo, const hw::Catalog& catalog,
-    const models::ProfileTable& profile, ThreadPool* pool = nullptr);
+    const models::ProfileTable& profile);
 
 /// Convenience: build the schedule internally and run.
 SelectionSweepResult run_selection_sweep(const SelectionSweepConfig& config,
                                          const models::Zoo& zoo,
                                          const hw::Catalog& catalog,
-                                         const models::ProfileTable& profile,
-                                         ThreadPool* pool = nullptr);
+                                         const models::ProfileTable& profile);
 
 }  // namespace paldia::exp

@@ -117,8 +117,8 @@ struct DecisionRecord {
   int emergency_ctr = 0;
   /// Sweep-work accounting (SelectionSweep): the capable pool size, how many
   /// candidates the pruned walk evaluates, and how many it proves away.
-  /// Identical under --no-prune (the counts replay the pruned walk either
-  /// way); paldia-analyze reports the sweep work saved from these.
+  /// The counts replay the pruned walk over the recorded candidates;
+  /// paldia-analyze reports the sweep work saved from these.
   int pool_size = 0;
   int evaluated_candidates = 0;
   int pruned_candidates = 0;

@@ -1,9 +1,7 @@
 #include "src/perfmodel/y_optimizer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <mutex>
 #include <vector>
 
 namespace paldia::perfmodel {
@@ -37,10 +35,11 @@ SharingDecision YOptimizer::best_split(const WorkloadPoint& point,
   auto evaluate = [&](std::size_t i) {
     t_max[i] = model_.t_max_ms(point, candidates[i]);
   };
-  // Safe to run even when best_split is itself inside a pool task (the
-  // hardware sweep's par_for over nodes): parallel_for is nestable — the
-  // caller help-drains its own task group instead of blocking on a global
-  // counter. The >= 64 gate only skips dispatch overhead on tiny sweeps.
+  // Safe to run even when best_split is itself inside a pool task (a
+  // repetition or scheme running on the same pool): parallel_for is
+  // nestable — the caller help-drains its own task group instead of
+  // blocking on a global counter. The >= 64 gate only skips dispatch
+  // overhead on tiny sweeps.
   if (pool_ != nullptr && candidates.size() >= 64) {
     pool_->parallel_for(candidates.size(), evaluate);
   } else {

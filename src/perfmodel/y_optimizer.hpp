@@ -30,8 +30,7 @@ class YOptimizer {
   /// range (strided down to <= max_probes points), plus y = N (pure time
   /// sharing) and y = 0 (pure spatial — covers the unsaturated case where
   /// the optimal range is empty). Deterministic regardless of the pool.
-  SharingDecision best_split(const WorkloadPoint& point,
-                             int max_probes = kDefaultSweepProbes) const;
+  SharingDecision best_split(const WorkloadPoint& point, int max_probes = 256) const;
 
   const TmaxModel& model() const { return model_; }
 

@@ -113,38 +113,31 @@ TEST_F(HardwareSelectionTest, PerformanceBandPrefersCheaperGpu) {
   EXPECT_EQ(choice.node, hw::NodeType::kG3s_xlarge);
 }
 
-TEST_F(HardwareSelectionTest, ParallelPoolGivesSameAnswer) {
-  ThreadPool pool(4);
-  HardwareSelection parallel_selection(models::Zoo::instance(),
-                                       hw::Catalog::instance(), profile_, optimizer_,
-                                       &pool);
-  for (Rps rate : {5.0, 60.0, 300.0, 700.0}) {
-    const auto serial = selection_.choose({demand(models::ModelId::kDpn92, rate)});
-    const auto parallel =
-        parallel_selection.choose({demand(models::ModelId::kDpn92, rate)});
-    EXPECT_EQ(serial.node, parallel.node) << "rate " << rate;
-  }
-}
-
 TEST_F(HardwareSelectionTest, NestedYSweepOnSharedPoolCompletes) {
-  // Full Algorithm 1 nesting: choose() fans the candidate nodes out on the
-  // pool AND every GPU candidate re-enters the same pool for its y-sweep.
-  // With the old global-counter executor this deadlocked; it must now finish
-  // and match the fully-serial answer.
+  // choose() evaluates the candidates in cost order on its calling thread,
+  // and every GPU candidate's y-sweep fans its probes out on the pool. Here
+  // choose() itself runs in pool tasks, as a Runner's parallel repetitions
+  // call it, so the y-sweep's parallel_for nests inside the same pool. With
+  // the old global-counter executor this deadlocked; it must finish and
+  // match the fully-serial answer.
   ThreadPool pool(4);
   perfmodel::YOptimizer pooled_optimizer(perfmodel::TmaxModel(0.2), &pool);
   HardwareSelection nested(models::Zoo::instance(), hw::Catalog::instance(),
-                           profile_, pooled_optimizer, &pool);
+                           profile_, pooled_optimizer);
   // Heavy demand so GPU candidates sweep a wide y range (>= 64 splits):
   // a large backlog drives N = coexisting_requests into the hundreds.
   const std::vector<DemandSnapshot> heavy = {
       demand(models::ModelId::kGoogleNet, 700.0, 1500)};
   ASSERT_GE(nested.coexisting_requests(heavy[0], 200.0), 200);
   const auto serial = selection_.choose(heavy);
-  const auto parallel = nested.choose(heavy);
-  EXPECT_EQ(parallel.node, serial.node);
-  EXPECT_EQ(parallel.best_y, serial.best_y);
-  EXPECT_EQ(parallel.t_max_ms, serial.t_max_ms);
+  std::vector<HardwareChoice> parallel(2);
+  pool.parallel_for(parallel.size(),
+                    [&](std::size_t i) { parallel[i] = nested.choose(heavy); });
+  for (const auto& choice : parallel) {
+    EXPECT_EQ(choice.node, serial.node);
+    EXPECT_EQ(choice.best_y, serial.best_y);
+    EXPECT_EQ(choice.t_max_ms, serial.t_max_ms);
+  }
 }
 
 TEST_F(HardwareSelectionTest, NegativePerformanceBandClampedToZero) {
@@ -154,7 +147,7 @@ TEST_F(HardwareSelectionTest, NegativePerformanceBandClampedToZero) {
   HardwareSelectionConfig config;
   config.performance_band_ms = -50.0;
   HardwareSelection negative_band(models::Zoo::instance(), hw::Catalog::instance(),
-                                  profile_, optimizer_, nullptr, config);
+                                  profile_, optimizer_, config);
   const auto choice =
       negative_band.choose({demand(models::ModelId::kResNet50, 150.0)});
   EXPECT_TRUE(choice.feasible);
@@ -162,7 +155,7 @@ TEST_F(HardwareSelectionTest, NegativePerformanceBandClampedToZero) {
   HardwareSelectionConfig zero;
   zero.performance_band_ms = 0.0;
   HardwareSelection zero_band(models::Zoo::instance(), hw::Catalog::instance(),
-                              profile_, optimizer_, nullptr, zero);
+                              profile_, optimizer_, zero);
   const auto baseline = zero_band.choose({demand(models::ModelId::kResNet50, 150.0)});
   EXPECT_EQ(choice.node, baseline.node);
 }
@@ -171,7 +164,7 @@ TEST_F(HardwareSelectionTest, NoPruneReturnsIdenticalChoices) {
   HardwareSelectionConfig config;
   config.prune = false;
   HardwareSelection linear(models::Zoo::instance(), hw::Catalog::instance(),
-                           profile_, optimizer_, nullptr, config);
+                           profile_, optimizer_, config);
   for (Rps rate : {0.0, 5.0, 60.0, 150.0, 700.0, 20000.0}) {
     const auto pruned = selection_.choose({demand(models::ModelId::kResNet50, rate)});
     const auto exhaustive = linear.choose({demand(models::ModelId::kResNet50, rate)});

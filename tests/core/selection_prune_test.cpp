@@ -2,8 +2,8 @@
 // the same HardwareChoice as the exhaustive linear sweep — same node, same
 // split, bit-identical T_max — over generated catalogs of every shape the
 // generator can produce (GPU-heavy, CPU-only, twin-rich) and demand points
-// from idle to infeasible-everywhere. This is the in-process face of the
-// fig04 --no-prune byte-identity CI check.
+// from idle to infeasible-everywhere. fleet_frontier's self-check compares
+// the two over a whole generated fleet.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -90,9 +90,9 @@ TEST(SelectionPrune, EquivalentToLinearOverGeneratedCatalogs) {
 
     HardwareSelectionConfig pruned_config, linear_config;
     linear_config.prune = false;
-    const HardwareSelection pruned(zoo, catalog, profile, optimizer, nullptr,
+    const HardwareSelection pruned(zoo, catalog, profile, optimizer,
                                    pruned_config);
-    const HardwareSelection linear(zoo, catalog, profile, optimizer, nullptr,
+    const HardwareSelection linear(zoo, catalog, profile, optimizer,
                                    linear_config);
 
     for (int d = 0; d < 50; ++d) {
@@ -141,7 +141,7 @@ TEST(SelectionPrune, EquivalentOnDefaultTableIICatalog) {
   HardwareSelectionConfig linear_config;
   linear_config.prune = false;
   const HardwareSelection pruned(zoo, catalog, profile, optimizer);
-  const HardwareSelection linear(zoo, catalog, profile, optimizer, nullptr,
+  const HardwareSelection linear(zoo, catalog, profile, optimizer,
                                  linear_config);
   Rng rng(0xab1e);
   for (int d = 0; d < 200; ++d) {
@@ -195,7 +195,7 @@ TEST(SelectionPrune, CpuOnlyCatalogDegradesInsteadOfAborting) {
   for (bool prune : {true, false}) {
     HardwareSelectionConfig selection_config;
     selection_config.prune = prune;
-    const HardwareSelection selection(zoo, catalog, profile, optimizer, nullptr,
+    const HardwareSelection selection(zoo, catalog, profile, optimizer,
                                       selection_config);
     // Light demand: a CPU node serves it.
     auto choice = selection.choose(

@@ -1,14 +1,15 @@
 // Fleet-scale determinism contract: a multi-endpoint FleetSim run — E
 // gateways over a sliced generated catalog, one shared simulator — must
 // produce byte-identical exports (Chrome trace, metrics rows, decision log,
-// analysis report) with and without a thread pool parallelizing the
-// policies' Algorithm 1 sweeps. This is the test-suite twin of the CI
+// analysis report) with and without a thread pool parallelizing the probes
+// of the policies' Eq. 1 y-sweeps. This is the test-suite twin of the CI
 // fleet smoke (bench/fleet_sim byte-compare across --threads).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "src/exp/fleet_sim.hpp"
@@ -115,6 +116,20 @@ TEST(FleetSim, PooledVsSerialBitIdentical) {
   EXPECT_EQ(serial.report, pooled.report);
   EXPECT_EQ(serial.total_requests, pooled.total_requests);
   EXPECT_EQ(serial.unserved, pooled.unserved);
+}
+
+TEST(FleetSim, RejectsUnsupportedSchemeByName) {
+  // Oracle's trace reveal predates the routing split, so the fleet refuses
+  // it with an exception that names the scheme.
+  const hw::Catalog catalog = hw::generate_catalog({.node_count = 16, .seed = 3});
+  const FleetSim sim(models::Zoo::instance(), catalog);
+  try {
+    sim.run(fleet_scenario(), SchemeId::kOracle, kEndpoints);
+    FAIL() << "FleetSim ran the Oracle";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("'Oracle'"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(FleetSim, RequestIdsUniqueAcrossEndpointTraces) {

@@ -2,10 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <iterator>
+#include <set>
+#include <string>
+#include <tuple>
+
+#include "src/common/rng.hpp"
+#include "src/hw/catalog.hpp"
+#include "src/hw/catalog_gen.hpp"
+#include "src/models/profile.hpp"
+#include "src/models/zoo.hpp"
 #include "src/perfmodel/y_optimizer.hpp"
 
 namespace paldia::perfmodel {
 namespace {
+
+constexpr auto kModel = models::ModelId::kResNet50;
+constexpr auto kNode = hw::NodeType::kG3s_xlarge;
 
 WorkloadPoint saturated_point(int n) {
   WorkloadPoint point;
@@ -18,29 +34,23 @@ WorkloadPoint saturated_point(int n) {
   return point;
 }
 
-TmaxCache::Key key_for(const WorkloadPoint& point,
-                       int max_probes = kDefaultSweepProbes) {
-  TmaxCache::Key key;
-  key.model = 1;
-  key.node = 2;
-  key.n_requests = point.n_requests;
-  key.slo_q = TmaxCache::quantize_slo(point.slo_ms);
-  key.max_probes = max_probes;
-  return key;
+std::uint64_t bits(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof(out));
+  return out;
 }
 
 TEST(TmaxCache, FirstLookupMissesSecondHits) {
   YOptimizer optimizer{TmaxModel(0.2)};
   TmaxCache cache;
   const auto point = saturated_point(32);
-  const auto key = key_for(point);
 
-  const auto first = cache.best_split(optimizer, key, point, kDefaultSweepProbes);
+  const auto first = cache.best_split(optimizer, kModel, kNode, point);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.size(), 1u);
 
-  const auto second = cache.best_split(optimizer, key, point, kDefaultSweepProbes);
+  const auto second = cache.best_split(optimizer, kModel, kNode, point);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.size(), 1u);
@@ -59,8 +69,7 @@ TEST(TmaxCache, CachedDecisionMatchesDirectSweep) {
     const auto direct = optimizer.best_split(point);
     // Twice: the miss path and the hit path must both reproduce it.
     for (int round = 0; round < 2; ++round) {
-      const auto cached =
-          cache.best_split(optimizer, key_for(point), point, kDefaultSweepProbes);
+      const auto cached = cache.best_split(optimizer, kModel, kNode, point);
       EXPECT_EQ(cached.y, direct.y) << "n=" << n;
       EXPECT_EQ(cached.t_max_ms, direct.t_max_ms) << "n=" << n;
       EXPECT_EQ(cached.feasible, direct.feasible) << "n=" << n;
@@ -72,85 +81,117 @@ TEST(TmaxCache, DistinctKeysDoNotCollide) {
   YOptimizer optimizer{TmaxModel(0.2)};
   TmaxCache cache;
   const auto point = saturated_point(32);
-  auto key = key_for(point);
-  cache.best_split(optimizer, key, point, kDefaultSweepProbes);
+  cache.best_split(optimizer, kModel, kNode, point);
 
   // Varying any key field is a fresh entry, not a hit.
-  auto other_node = key;
-  other_node.node = 3;
-  cache.best_split(optimizer, other_node, point, kDefaultSweepProbes);
-  auto other_n = key;
-  other_n.n_requests = 33;
-  auto bigger = point;
-  bigger.n_requests = 33;
-  cache.best_split(optimizer, other_n, bigger, kDefaultSweepProbes);
+  cache.best_split(optimizer, models::ModelId::kVgg19, kNode, point);
+  cache.best_split(optimizer, kModel, hw::NodeType::kP3_2xlarge, point);
+  cache.best_split(optimizer, kModel, kNode, saturated_point(33));
 
   EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(TmaxCache, BypassCountsAndPopulatesButRecomputes) {
-  // Bypass mode must look exactly like cached mode from the outside:
-  // identical decisions, identical hit/miss totals, identical map growth.
-  YOptimizer optimizer{TmaxModel(0.2)};
-  TmaxCache cached{/*bypass=*/false};
-  TmaxCache bypass{/*bypass=*/true};
-  EXPECT_FALSE(cached.bypass());
-  EXPECT_TRUE(bypass.bypass());
-
-  for (const int n : {8, 8, 24, 8, 24, 40}) {
-    const auto point = saturated_point(n);
-    const auto from_cache =
-        cached.best_split(optimizer, key_for(point), point, kDefaultSweepProbes);
-    const auto from_bypass =
-        bypass.best_split(optimizer, key_for(point), point, kDefaultSweepProbes);
-    EXPECT_EQ(from_cache.y, from_bypass.y) << "n=" << n;
-    EXPECT_EQ(from_cache.t_max_ms, from_bypass.t_max_ms) << "n=" << n;
-    EXPECT_EQ(from_cache.feasible, from_bypass.feasible) << "n=" << n;
-  }
-  EXPECT_EQ(cached.stats().hits, bypass.stats().hits);
-  EXPECT_EQ(cached.stats().misses, bypass.stats().misses);
-  EXPECT_EQ(cached.size(), bypass.size());
-  EXPECT_EQ(cached.stats().hits, 3u);  // the three repeats
-  EXPECT_EQ(cached.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.size(), 4u);
 }
 
 TEST(TmaxCache, FeasibilityRecomputedFromUnquantizedSlo) {
-  // Two SLOs that quantize to the same grid cell but straddle the computed
-  // t_max must get different feasibility verdicts from the same cache
-  // entry: (y, t_max) is shared, the verdict is not stored.
+  // Two budgets that straddle the computed t_max must get different
+  // feasibility verdicts from the same cache entry: (y, t_max) is shared,
+  // the verdict is not stored.
   YOptimizer optimizer{TmaxModel(0.2)};
   TmaxCache cache;
-  auto point = saturated_point(32);
-  const auto direct = optimizer.best_split(point);
+  const auto direct = optimizer.best_split(saturated_point(32));
   ASSERT_GT(direct.t_max_ms, 0.0);
 
-  // Pin the SLO to t_max ± half a grid step: same slo_q, opposite verdicts.
-  const double grid = 1.0 / 1024.0;
-  const double base =
-      static_cast<double>(TmaxCache::quantize_slo(direct.t_max_ms)) * grid;
-  auto tight = point;
-  tight.slo_ms = base - 0.25 * grid;
-  auto loose = point;
-  loose.slo_ms = base + 0.25 * grid;
-  const auto key = key_for(tight);
-  ASSERT_EQ(key.slo_q, key_for(loose).slo_q);
+  auto tight = saturated_point(32);
+  tight.slo_ms = direct.t_max_ms * (1.0 - 1e-12);
+  auto loose = saturated_point(32);
+  loose.slo_ms = direct.t_max_ms * (1.0 + 1e-12);
 
-  const auto first = cache.best_split(optimizer, key, tight, kDefaultSweepProbes);
-  const auto second = cache.best_split(optimizer, key, loose, kDefaultSweepProbes);
+  const auto first = cache.best_split(optimizer, kModel, kNode, tight);
+  const auto second = cache.best_split(optimizer, kModel, kNode, loose);
   EXPECT_EQ(cache.stats().hits, 1u);  // same key: second lookup hits
   EXPECT_EQ(first.t_max_ms, second.t_max_ms);
-  EXPECT_EQ(first.feasible, first.t_max_ms <= tight.slo_ms);
-  EXPECT_EQ(second.feasible, second.t_max_ms <= loose.slo_ms);
+  EXPECT_FALSE(first.feasible);
+  EXPECT_TRUE(second.feasible);
 }
 
-TEST(TmaxCache, QuantizeSloGrid) {
-  EXPECT_EQ(TmaxCache::quantize_slo(0.0), 0);
-  EXPECT_EQ(TmaxCache::quantize_slo(1.0), 1024);
-  EXPECT_EQ(TmaxCache::quantize_slo(200.0), 200 * 1024);
-  // Round-to-nearest on the grid, not truncation.
-  EXPECT_EQ(TmaxCache::quantize_slo(1.0 / 2048.0 + 1e-9), 1);
+// Reference suite: random lookups over Table II and a generated 64-node
+// catalog, every model, points built the way HardwareSelection builds them.
+// Each cached result must equal a fresh YOptimizer::best_split bit for bit,
+// and the counters must account every lookup against the distinct
+// (model, node, N) keys.
+TEST(TmaxCache, RandomLookupsMatchDirectSweepBitForBit) {
+  const auto& zoo = models::Zoo::instance();
+  std::string error;
+  const auto gen64 = hw::parse_catalog_spec("gen:64", &error);
+  ASSERT_TRUE(gen64.has_value()) << error;
+  const hw::Catalog generated = hw::generate_catalog(*gen64);
+  // Budgets on both sides of typical t_max values, so keys are revisited
+  // with opposite feasibility verdicts.
+  constexpr std::array<double, 6> kHeadrooms = {0.25, 0.5, 0.85, 1.0, 2.0, 4.0};
+  constexpr int kLookupsPerCatalog = 60'000;
+
+  Rng rng(0x7a11ca5e);
+  for (const hw::Catalog* catalog : {&hw::Catalog::instance(), &generated}) {
+    const models::ProfileTable profile(*catalog);
+    const YOptimizer optimizer{TmaxModel(0.2)};
+    const auto& gpus = catalog->gpus_by_capability_ascending();
+    ASSERT_FALSE(gpus.empty());
+    TmaxCache cache;
+    std::set<std::tuple<int, int, int>> keys;
+    std::set<std::tuple<int, int, int>> seen_feasible, seen_infeasible;
+    std::set<int> models_seen;
+    int mismatches = 0;
+    std::string first_mismatch;
+
+    for (int i = 0; i < kLookupsPerCatalog; ++i) {
+      const auto model_id = static_cast<models::ModelId>(
+          rng.uniform_int(0, models::kModelCount - 1));
+      const auto& model = zoo.spec(model_id);
+      const hw::NodeType node =
+          gpus[static_cast<std::size_t>(rng.uniform_int(0, std::ssize(gpus) - 1))];
+      // Mostly small N (where the dispatch and selection sweeps live, and
+      // where keys repeat), sometimes anything up to 4096.
+      const int n = static_cast<int>(
+          rng.bernoulli(0.8) ? rng.uniform_int(1, 2 * model.max_batch)
+                             : rng.uniform_int(1, 4096));
+      const double headroom = kHeadrooms[static_cast<std::size_t>(
+          rng.uniform_int(0, std::ssize(kHeadrooms) - 1))];
+      const int bs = std::min(model.max_batch, std::max(1, n));
+      const auto entry = profile.lookup(model, node, bs);
+      const WorkloadPoint point{n,          bs, entry.solo_ms, entry.fbr,
+                                model.slo_ms * headroom, entry.compute};
+
+      const auto cached = cache.best_split(optimizer, model_id, node, point);
+      const auto direct = optimizer.best_split(point);
+      if (cached.y != direct.y || bits(cached.t_max_ms) != bits(direct.t_max_ms) ||
+          cached.feasible != direct.feasible) {
+        if (mismatches++ == 0) {
+          first_mismatch = "lookup " + std::to_string(i) + ": model " +
+                           std::to_string(static_cast<int>(model_id)) + " node " +
+                           std::string(catalog->name(node)) + " N " +
+                           std::to_string(n);
+        }
+      }
+      const auto key =
+          std::make_tuple(static_cast<int>(model_id), hw::node_index(node), n);
+      keys.insert(key);
+      (direct.feasible ? seen_feasible : seen_infeasible).insert(key);
+      models_seen.insert(static_cast<int>(model_id));
+    }
+
+    EXPECT_EQ(mismatches, 0) << first_mismatch;
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses,
+              static_cast<std::uint64_t>(kLookupsPerCatalog));
+    EXPECT_EQ(stats.misses, cache.size());
+    EXPECT_EQ(cache.size(), keys.size());
+    EXPECT_GT(stats.hits, 0u);
+    EXPECT_EQ(models_seen.size(), static_cast<std::size_t>(models::kModelCount));
+    std::size_t straddled = 0;
+    for (const auto& key : seen_feasible) straddled += seen_infeasible.count(key);
+    EXPECT_GT(straddled, 0u) << "no key was looked up on both sides of its t_max";
+  }
 }
 
 }  // namespace

@@ -65,8 +65,8 @@ TEST(YOptimizer, SameResultWithAndWithoutPool) {
 }
 
 TEST(YOptimizer, NestedSweepInsidePoolTaskCompletes) {
-  // The Algorithm 1 shape that used to deadlock: the candidate-node par_for
-  // runs on the pool, and each task re-enters the same pool for its y-sweep.
+  // The shape that used to deadlock: parallel repetitions run on the pool,
+  // and each task re-enters the same pool for its policy's y-sweep.
   TmaxModel model(0.25);
   ThreadPool pool(4);
   YOptimizer optimizer(model, &pool);

@@ -126,9 +126,7 @@ void print_decisions_echo(std::ostream& out, const std::string& path) {
   std::size_t rows = 0;
   for (const char c : text) rows += c == '\n' ? 1 : 0;
   // Sweep-work accounting (pool_size/evaluated/pruned columns): how much of
-  // Algorithm 1's candidate enumeration the pruned walk actually ran. The
-  // counters replay the pruned walk even under --no-prune, so the savings
-  // report is bypass-agnostic.
+  // Algorithm 1's candidate enumeration the pruned walk actually ran.
   long long pool = 0, evaluated = 0, pruned = 0;
   if (paldia::obs::format_for_path(path) == paldia::obs::ExportFormat::kCsv) {
     if (rows > 0) --rows;  // header
