@@ -8,6 +8,8 @@
 //  4. The scheduler's beta (superlinear contention) term: beta = 0 (the
 //     literal Eq. 1) degenerates to all-spatial scheduling and loses
 //     compliance under saturation.
+#include <optional>
+
 #include "bench/bench_common.hpp"
 #include "src/core/paldia_policy.hpp"
 #include "src/trace/generators.hpp"
@@ -101,6 +103,9 @@ int main(int argc, char** argv) {
       exp::Scenario local = scenario;
       sim::Simulator simulator;
       Rng rng(1234);
+      // Destroyed after the cluster, whose in-flight batches hold blocks of
+      // the framework's request arena.
+      std::optional<core::Framework> framework;
       cluster::Cluster cluster(simulator, rng.fork("cluster"));
       models::ProfileTable profile(hw::Catalog::instance());
       core::PaldiaPolicyConfig config;
@@ -109,14 +114,13 @@ int main(int argc, char** argv) {
           models::Zoo::instance(), hw::Catalog::instance(), profile, nullptr, config);
       core::FrameworkConfig framework_config = local.framework;
       framework_config.initial_node = hw::NodeType::kC6i_2xlarge;
-      core::Framework framework(simulator, cluster, std::move(policy),
-                                rng.fork("framework"), models::Zoo::instance(),
-                                framework_config);
-      framework.add_workload(local.workloads[0].model, local.workloads[0].trace);
-      framework.run();
+      framework.emplace(simulator, cluster, std::move(policy), rng.fork("framework"),
+                        models::Zoo::instance(), framework_config);
+      framework->add_workload(local.workloads[0].model, local.workloads[0].trace);
+      framework->run();
       table.add_row({Table::num(band, 0),
                      Table::percent(
-                         framework.slo(local.workloads[0].model).compliance()),
+                         framework->slo(local.workloads[0].model).compliance()),
                      bench::dollars(cluster.total_cost())});
     }
     table.print(std::cout);

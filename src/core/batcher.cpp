@@ -1,16 +1,56 @@
 #include "src/core/batcher.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/obs/tracer.hpp"
 
 namespace paldia::core {
+
+namespace {
+
+/// The smallest k >= first with holds(k), for a predicate monotone in k.
+/// `estimate` is the real-valued k at which it starts to hold; rounding
+/// puts ceil(estimate) at most a step or two from the exact answer, which
+/// the walks settle. kNoSlot when the estimate is past the grid's exact
+/// range (or infinite).
+template <typename Holds>
+std::int64_t first_slot_where(std::int64_t first, double estimate, Holds holds) {
+  // Beyond 2^52 grid slots k * period is no longer exact; no run gets there.
+  if (!(estimate < 0x1p52)) return Batcher::kNoSlot;
+  std::int64_t k = static_cast<std::int64_t>(
+      std::ceil(std::max(estimate, static_cast<double>(first))));
+  while (k > first && holds(k - 1)) --k;
+  while (!holds(k)) ++k;
+  return k;
+}
+
+}  // namespace
 
 bool Batcher::should_dispatch(int pending, int max_batch,
                               DurationMs oldest_age_ms) const {
   if (pending <= 0) return false;
   if (pending >= max_batch) return true;
   return oldest_age_ms >= config_.max_wait_ms;
+}
+
+std::int64_t Batcher::first_dispatch_slot(std::int64_t first_slot,
+                                          DurationMs period_ms,
+                                          TimeMs oldest_arrival_ms,
+                                          TimeMs target_arrival_ms) const {
+  const auto at = [period_ms](std::int64_t k) {
+    return static_cast<double>(k) * period_ms;
+  };
+  const std::int64_t filled = first_slot_where(
+      first_slot, target_arrival_ms / period_ms,
+      [&](std::int64_t k) { return target_arrival_ms <= at(k); });
+  const std::int64_t aged = first_slot_where(
+      first_slot, (oldest_arrival_ms + config_.max_wait_ms) / period_ms,
+      [&](std::int64_t k) {
+        return oldest_arrival_ms <= at(k) &&
+               at(k) - oldest_arrival_ms >= config_.max_wait_ms;
+      });
+  return std::min(filled, aged);
 }
 
 void Batcher::chunk_into(const cluster::Request* requests, std::size_t count,

@@ -4,6 +4,8 @@
 // never consume the SLO by itself.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/cluster/request.hpp"
@@ -29,6 +31,21 @@ class Batcher {
   /// Should this model's queue be dispatched now? True when a full batch is
   /// available or the oldest request has aged out.
   bool should_dispatch(int pending, int max_batch, DurationMs oldest_age_ms) const;
+
+  /// Returned by first_dispatch_slot when should_dispatch never holds.
+  static constexpr std::int64_t kNoSlot = std::numeric_limits<std::int64_t>::max();
+
+  /// The smallest k >= first_slot such that should_dispatch holds at
+  /// now = k * period_ms, for a queue ordered by arrival whose oldest
+  /// request arrives at `oldest_arrival_ms` and whose target-th request
+  /// arrives at `target_arrival_ms` (kTimeNever when the queue holds fewer
+  /// requests than the target). Both conditions use should_dispatch's own
+  /// expressions: the target-th request has arrived (`arrival <= now`), or
+  /// the oldest has arrived and waited (`now - oldest >= max_wait_ms`).
+  /// kNoSlot when neither ever holds.
+  std::int64_t first_dispatch_slot(std::int64_t first_slot, DurationMs period_ms,
+                                   TimeMs oldest_arrival_ms,
+                                   TimeMs target_arrival_ms) const;
 
   /// Chunk requests into batches of at most batch_size (the last one may be
   /// smaller — flexible batching). Each batch carves its requests into a

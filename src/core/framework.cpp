@@ -55,6 +55,7 @@ Framework::Framework(sim::Simulator& simulator, cluster::Cluster& cluster,
              hw::NodeType node) { complete_request(request, report, node); },
       [this](models::ModelId model, cluster::RequestBlock requests) {
         gateway_.requeue(model, std::move(requests));
+        arm_dispatch();
       });
   distributor_->set_tracer(tracer_);
   distributor_->set_attribution(attribution_);
@@ -154,6 +155,7 @@ void Framework::schedule_injection_epoch(const Workload& workload,
           slo.record_arrival(start +
                              workload.trace.epoch_ms() * (i + 0.5) / count);
         }
+        arm_dispatch();
       });
 }
 
@@ -169,8 +171,12 @@ void Framework::dispatch_tick() {
 
     const DemandSnapshot demand = snapshot(workload, now);
     SplitPlan plan = policy_->plan_dispatch(demand, active_node_, now);
-    const int max_batch = std::max(1, plan.batch_size);
-    if (!batcher_.should_dispatch(pending, std::min(max_batch, model.max_batch),
+    const int target = std::min(std::max(1, plan.batch_size), model.max_batch);
+    if (target > pending) {
+      workload.fill_target = target;
+      workload.fill_node = active_node_;
+    }
+    if (!batcher_.should_dispatch(pending, target,
                                   gateway_.oldest_age(model_id, now))) {
       continue;
     }
@@ -180,6 +186,46 @@ void Framework::dispatch_tick() {
     auto requests = gateway_.take(model_id, pending, now);
     distributor_->dispatch(node, plan, std::move(requests), now);
   }
+}
+
+void Framework::arm_dispatch() {
+  const TimeMs now = simulator_->now();
+  std::int64_t first = static_cast<std::int64_t>(std::ceil(now / kDispatchPeriodMs));
+  if (static_cast<double>(first) * kDispatchPeriodMs < now) ++first;
+  first = std::max(first, next_dispatch_slot_);
+  const bool node_up = cluster_->node(active_node_).is_up();
+  std::int64_t slot = Batcher::kNoSlot;
+  for (const auto& workload : workloads_) {
+    const TimeMs oldest = gateway_.queued_arrival(workload.model, 0);
+    if (oldest == kTimeNever) continue;  // nothing queued: no tick needed
+    if (!node_up) {
+      // Ticks are no-ops until the node recovers or a switch lands; keep
+      // the plain cadence rather than track either.
+      slot = first;
+      break;
+    }
+    const int target = workload.fill_node == active_node_ ? workload.fill_target : 1;
+    slot = std::min(slot, batcher_.first_dispatch_slot(
+                              first, kDispatchPeriodMs, oldest,
+                              gateway_.queued_arrival(
+                                  workload.model, static_cast<std::size_t>(target - 1))));
+  }
+  if (slot == Batcher::kNoSlot ||
+      static_cast<double>(slot) * kDispatchPeriodMs > hard_end()) {
+    return;
+  }
+  if (dispatch_slot_ <= slot) return;  // the pending tick comes no later
+  dispatch_event_.cancel();
+  dispatch_slot_ = slot;
+  dispatch_event_ = simulator_->schedule_at(static_cast<double>(slot) * kDispatchPeriodMs,
+                                            [this] { fire_dispatch(); });
+}
+
+void Framework::fire_dispatch() {
+  next_dispatch_slot_ = dispatch_slot_ + 1;
+  dispatch_slot_ = Batcher::kNoSlot;
+  dispatch_tick();
+  arm_dispatch();
 }
 
 void Framework::monitor_tick() {
@@ -362,6 +408,7 @@ void Framework::begin_switch(hw::NodeType target) {
               [this, old_node] {
                 if (old_node != active_node_) cluster_->release(old_node);
               });
+          arm_dispatch();  // new node: fill targets start over
         });
   });
 }
@@ -464,15 +511,6 @@ void Framework::handle_recovery() {
   }
 }
 
-bool Framework::drained(TimeMs now) const {
-  if (distributor_->in_flight() > 0) return false;
-  for (const auto& workload : workloads_) {
-    if (gateway_.pending_total(workload.model) > 0) return false;
-  }
-  (void)now;
-  return true;
-}
-
 void Framework::begin_run() {
   assert(!workloads_.empty());
 
@@ -510,19 +548,32 @@ void Framework::begin_run() {
     host_interference_->arm(trace_end_ms_);
   }
 
-  // Repeating ticks (pooled slots, no per-firing allocation) that stop once
-  // the trace ended and everything drained (or the hard drain cap is
-  // reached). The re-arm is stamped after the tick body, so the event order
-  // matches the old shared_ptr<std::function> self-rescheduling chains.
-  const TimeMs cap = hard_end();
-  simulator_->schedule_repeating(
-      0.0, config_.dispatch_interval_ms,
-      [this, cap] {
-        dispatch_tick();
-        const TimeMs now = simulator_->now();
-        if (now >= cap) return false;
-        return now < trace_end_ms_ || !drained(now);
-      });
+  // The dispatch timer fires only at the grid slots where some workload's
+  // batcher can fire (arm_dispatch), never past hard_end(); once the trace
+  // is over and the queues are empty nothing re-arms it. This is exactly a
+  // tick at every slot, as the repeating 20 ms tick used to run:
+  //  - A skipped slot's tick has no observable effect. Either nothing has
+  //    arrived, so it returns before planning, or the batcher waits on a
+  //    target above the backlog. plan_dispatch's contract makes that
+  //    target the workload's learned fill_target and the call free of side
+  //    effects.
+  //  - So every dispatch happens at the same slot, with the same snapshot
+  //    and the same plan.
+  //  - Same-instant order is kept. The repeating tick was stamped one
+  //    period before its slot. The timer is stamped by the previous tick or
+  //    by the event that queued the work, at most ~170 ms before its slot
+  //    (a 100 ms epoch plus the 50 ms wait, rounded up to the grid). Every
+  //    other event of this serving loop that lands on a slot is stamped at
+  //    least 100 ms ahead and before any timer for that slot: injections
+  //    (the handler stamps its successor before it re-arms, and a timer
+  //    armed before an epoch is injected wakes within 60 ms of its start),
+  //    monitor, predictive, power and util ticks, container readiness,
+  //    switch warm-up and failure points. Only float-timed device
+  //    completions could land exactly on a slot in between.
+  // The first tick is armed at t = 0 here, where the repeating tick was.
+  dispatch_slot_ = 0;
+  next_dispatch_slot_ = 0;
+  dispatch_event_ = simulator_->schedule_at(0.0, [this] { fire_dispatch(); });
   simulator_->schedule_repeating(
       config_.monitor_interval_ms, config_.monitor_interval_ms,
       [this] {
@@ -547,9 +598,12 @@ TimeMs Framework::run() {
 }
 
 void Framework::finish_run(TimeMs end) {
-  // Requests still unserved at the drain cap are SLO violations.
+  // Requests still unserved at the drain cap are SLO violations: those
+  // queued at the gateway and those in batches still on a device or
+  // waiting for a container.
   for (auto& workload : workloads_) {
-    const int leftover = gateway_.pending_total(workload.model);
+    const int queued = gateway_.pending_total(workload.model);
+    const int leftover = queued + distributor_->in_flight_requests(workload.model);
     for (int i = 0; i < leftover; ++i) {
       workload.slo->record_completion(0.0, kTimeNever);
       workload.slo->record_violation_cause(telemetry::ViolationCause::kUnserved);
@@ -576,7 +630,7 @@ void Framework::finish_run(TimeMs end) {
     }
     unserved_ += static_cast<std::uint64_t>(leftover);
     // Drop them so repeated run() calls (not supported anyway) don't leak.
-    auto rest = gateway_.take(workload.model, leftover, end);
+    auto rest = gateway_.take(workload.model, queued, end);
     (void)rest;
   }
 

@@ -9,6 +9,7 @@
 // policies of" INFless/Llama/Molecule).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,6 +23,7 @@
 #include "src/core/gateway.hpp"
 #include "src/core/job_distributor.hpp"
 #include "src/core/scheduler_policy.hpp"
+#include "src/sim/simulator.hpp"
 #include "src/telemetry/latency_recorder.hpp"
 #include "src/telemetry/power_tracker.hpp"
 #include "src/telemetry/slo_tracker.hpp"
@@ -40,7 +42,6 @@ class Tracer;
 namespace paldia::core {
 
 struct FrameworkConfig {
-  DurationMs dispatch_interval_ms = 20.0;
   DurationMs monitor_interval_ms = 500.0;  // Algorithm 1's W
   BatcherConfig batcher;
   AutoscalerConfig autoscaler;
@@ -94,6 +95,11 @@ struct FrameworkConfig {
 
 class Framework {
  public:
+  /// The dispatch grid: the batcher is consulted only at integer multiples
+  /// of this period, and a request waits at most one period past the
+  /// instant its batch can fire.
+  static constexpr DurationMs kDispatchPeriodMs = 20.0;
+
   Framework(sim::Simulator& simulator, cluster::Cluster& cluster,
             std::unique_ptr<SchedulerPolicy> policy, Rng rng,
             const models::Zoo& zoo = models::Zoo::instance(),
@@ -126,8 +132,8 @@ class Framework {
   TimeMs hard_end() const { return trace_end_ms_ + config_.max_drain_ms; }
 
   /// Close out the run at simulated time `end`: count drain-cap leftovers
-  /// as unserved violations, release held nodes, flush final counters,
-  /// finalize health.
+  /// (queued at the gateway or still in flight) as unserved violations,
+  /// release held nodes, flush final counters, finalize health.
   void finish_run(TimeMs end);
 
   // --- Telemetry access (valid after run()) --------------------------------
@@ -140,6 +146,8 @@ class Framework {
   }
   const telemetry::PowerTracker& power() const { return *power_; }
   const telemetry::UtilTracker& util() const { return *util_; }
+  /// Requests still queued or in flight at the drain cap. With the latency
+  /// recorders' counts they add up to every routed arrival.
   std::uint64_t unserved_requests() const { return unserved_; }
   hw::NodeType active_node() const { return active_node_; }
   int hardware_switches() const { return hardware_switches_; }
@@ -153,6 +161,12 @@ class Framework {
     trace::Trace trace;
     std::unique_ptr<telemetry::LatencyRecorder> latency;
     std::unique_ptr<telemetry::SloTracker> slo;
+    /// The batcher's fill target on `fill_node`, learned at the last
+    /// dispatch tick there whose target exceeded the backlog (1 until
+    /// then). plan_dispatch's contract makes it the target of every later
+    /// tick on that node, so the wake-up can wait for it.
+    int fill_target = 1;
+    hw::NodeType fill_node{};
   };
 
   // Covers procurement (~4 s) plus container warmup (~2.5 s) so capacity is
@@ -170,6 +184,12 @@ class Framework {
   void schedule_injection_epoch(const Workload& workload,
                                 std::size_t from_epoch);
   void dispatch_tick();
+  /// Arm the dispatch timer at the first unfired grid slot, not before
+  /// now, where the batcher can fire for some workload; keeps a pending
+  /// tick that comes no later. Called after every tick and every event
+  /// that queues work or changes the fill target.
+  void arm_dispatch();
+  void fire_dispatch();
   void monitor_tick();
   void predictive_tick();
   void begin_switch(hw::NodeType target);
@@ -178,7 +198,6 @@ class Framework {
                         hw::NodeType node);
   void handle_failure();
   void handle_recovery();
-  bool drained(TimeMs now) const;
 
   sim::Simulator* simulator_;
   cluster::Cluster* cluster_;
@@ -203,6 +222,12 @@ class Framework {
   std::vector<Workload> workloads_;
   std::unique_ptr<telemetry::PowerTracker> power_;
   std::unique_ptr<telemetry::UtilTracker> util_;
+
+  // The one pending dispatch tick (slot kNoSlot = none) and the first grid
+  // slot that has not fired yet.
+  sim::EventHandle dispatch_event_;
+  std::int64_t dispatch_slot_ = Batcher::kNoSlot;
+  std::int64_t next_dispatch_slot_ = 0;
 
   hw::NodeType active_node_{};
   bool switch_in_progress_ = false;

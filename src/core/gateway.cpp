@@ -94,6 +94,11 @@ DurationMs Gateway::oldest_age(models::ModelId model, TimeMs now) const {
   return now - queue.front().arrival_ms;
 }
 
+TimeMs Gateway::queued_arrival(models::ModelId model, std::size_t index) const {
+  const auto& queue = state(model).queue;
+  return index < queue.size() ? queue.at(index).arrival_ms : kTimeNever;
+}
+
 Rps Gateway::observed_rate(models::ModelId model, TimeMs now) const {
   return state(model).window.rate(now);
 }

@@ -58,6 +58,10 @@ class Gateway {
   /// Age of the oldest pending request, 0 when none.
   DurationMs oldest_age(models::ModelId model, TimeMs now) const;
 
+  /// Arrival time of the index-th queued request, oldest first, counting
+  /// requests that have not arrived yet; kTimeNever past the queue's end.
+  TimeMs queued_arrival(models::ModelId model, std::size_t index) const;
+
   /// Trailing 1 s arrival rate.
   Rps observed_rate(models::ModelId model, TimeMs now) const;
 

@@ -48,6 +48,7 @@ void JobDistributor::submit_batch(cluster::Node& node, cluster::Batch batch,
                                   cluster::ShareMode mode, int spatial,
                                   int temporal) {
   ++in_flight_;
+  in_flight_requests_[static_cast<std::size_t>(batch.model)] += batch.size();
   cluster::ExecRequest exec;
   exec.batch = batch.id;
   exec.model = batch.model;
@@ -59,6 +60,7 @@ void JobDistributor::submit_batch(cluster::Node& node, cluster::Batch batch,
   auto on_complete = [this, batch = std::move(batch), mode, spatial, temporal,
                       node_type](const cluster::ExecutionReport& report) mutable {
     --in_flight_;
+    in_flight_requests_[static_cast<std::size_t>(batch.model)] -= batch.size();
     if (report.failed) {
       if (tracer_ != nullptr) {
         tracer_->count("failed_batches");

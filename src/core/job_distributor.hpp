@@ -4,6 +4,7 @@
 // CPU mode — and fans batch completions out to per-request outcomes.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "src/cluster/node.hpp"
@@ -47,6 +48,12 @@ class JobDistributor {
   /// Batches submitted but not yet completed (successfully or not).
   int in_flight() const { return in_flight_; }
 
+  /// Requests of `model` in those batches: on a device or waiting for a
+  /// container.
+  int in_flight_requests(models::ModelId model) const {
+    return in_flight_requests_[static_cast<std::size_t>(model)];
+  }
+
   /// Observability hook (null = tracing disabled; single-branch cost).
   /// Completed batches then emit per-request lifecycle spans and batch
   /// execution slices tagged with the round's spatial/temporal split.
@@ -77,6 +84,7 @@ class JobDistributor {
   obs::AttributionEngine* attribution_ = nullptr;
   obs::CalibrationTracker* calibration_ = nullptr;
   int in_flight_ = 0;
+  std::array<int, models::kModelCount> in_flight_requests_{};
   std::vector<cluster::Batch> batch_scratch_;  // reused across dispatches
 };
 

@@ -61,6 +61,16 @@ class SchedulerPolicy {
                                        hw::NodeType current, TimeMs now) = 0;
 
   /// Split one model's pending requests for this dispatch round on `node`.
+  ///
+  /// Contract (the dispatch timer skips ticks on it): the batcher's target
+  /// is the returned batch_size clamped to [1, the model's max_batch]. If
+  /// that target exceeds demand.backlog for some snapshot with backlog > 0,
+  ///  - it is the target for every snapshot of the same (model, node),
+  ///    whatever the backlog, rates or time, and
+  ///  - such a call changes no state (tmax_cache_stats() included).
+  /// Targets that never exceed the backlog (Paldia, Oracle) or depend only
+  /// on (model, node) (INFless/Llama, Molecule, Offline Hybrid) meet it. A
+  /// policy that breaks it would see the batcher consulted too rarely.
   virtual SplitPlan plan_dispatch(const DemandSnapshot& demand, hw::NodeType node,
                                   TimeMs now) = 0;
 

@@ -157,7 +157,7 @@ FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
 
   // Endpoint rows via the shared extractor, then the fleet-wide merge.
   Histogram merged_e2e;
-  std::uint64_t total_completed = 0, total_compliant = 0, total_latencies = 0;
+  std::uint64_t total_completed = 0, total_compliant = 0;
   double total_violations = 0.0;
   std::array<double, telemetry::kViolationCauseCount> causes{};
   double cost = 0.0, power = 0.0, gpu_util = 0.0, cpu_util = 0.0;
@@ -176,7 +176,7 @@ FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
     result.unserved += framework.unserved_requests();
     for (const auto model : workload_models) {
       merged_e2e.merge(framework.latency(model).e2e());
-      total_latencies += framework.latency(model).count();
+      result.served += framework.latency(model).count();
       total_completed += framework.slo(model).total();
       total_compliant += framework.slo(model).compliant();
     }
@@ -216,7 +216,6 @@ FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
   fleet_row.average_power = power;
   fleet_row.gpu_utilization = endpoints == 0 ? 0.0 : gpu_util / endpoints;
   fleet_row.cpu_utilization = endpoints == 0 ? 0.0 : cpu_util / endpoints;
-  (void)total_latencies;
 
   return result;
 }

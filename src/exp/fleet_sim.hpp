@@ -26,7 +26,8 @@ struct FleetSimResult {
   /// utilization averaged over endpoints.
   telemetry::RunMetrics combined;
   std::uint64_t total_requests = 0;  // arrivals routed across all gateways
-  std::uint64_t unserved = 0;        // still pending at the drain cap
+  std::uint64_t served = 0;          // completions the latency recorders saw
+  std::uint64_t unserved = 0;        // queued or in flight at the drain cap
   std::uint64_t events_processed = 0;
   TimeMs end_ms = 0.0;
   int endpoints = 0;

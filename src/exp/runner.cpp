@@ -1,6 +1,7 @@
 #include "src/exp/runner.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/baselines/oracle.hpp"
 #include "src/exp/summary.hpp"
@@ -26,6 +27,10 @@ RunResult Runner::run_once(const Scenario& scenario, SchemeId scheme,
                            obs::HealthEngine* health) const {
   sim::Simulator simulator;
   Rng rng(seed);
+  // Declared before the cluster so the cluster is destroyed first: batches
+  // still on a device at the drain cap hold request blocks carved from the
+  // framework's arena (core::Fleet::Endpoint keeps the same order).
+  std::optional<core::Framework> framework;
   cluster::Cluster cluster(simulator, rng.fork("cluster"), *zoo_, *catalog_);
 
   auto policy = factory_.make(scheme);
@@ -60,17 +65,17 @@ RunResult Runner::run_once(const Scenario& scenario, SchemeId scheme,
   obs::CalibrationTracker calibration(calibration_config);
   config.attribution = &attribution;
   config.calibration = &calibration;
-  core::Framework framework(simulator, cluster, std::move(policy),
-                            rng.fork("framework"), *zoo_, config);
+  framework.emplace(simulator, cluster, std::move(policy), rng.fork("framework"),
+                    *zoo_, config);
   for (const auto& workload : scenario.workloads) {
-    framework.add_workload(workload.model, workload.trace);
+    framework->add_workload(workload.model, workload.trace);
   }
-  if (scenario.failures) framework.enable_failures(*scenario.failures);
+  if (scenario.failures) framework->enable_failures(*scenario.failures);
   if (!scenario.coresidents.empty()) {
-    framework.enable_host_interference(scenario.coresidents);
+    framework->enable_host_interference(scenario.coresidents);
   }
 
-  framework.run();
+  framework->run();
 
   ExtractOptions extract;
   extract.scheme = scheme_name(scheme);
@@ -82,7 +87,7 @@ RunResult Runner::run_once(const Scenario& scenario, SchemeId scheme,
   for (const auto& workload : scenario.workloads) {
     workload_models.push_back(workload.model);
   }
-  return extract_run_metrics(framework, cluster, workload_models, &calibration,
+  return extract_run_metrics(*framework, cluster, workload_models, &calibration,
                              extract);
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/common/rng.hpp"
+
 namespace paldia::core {
 namespace {
 
@@ -84,6 +89,62 @@ TEST(Batcher, BatchIdsUnique) {
   for (const auto& batch : first) seen.insert(batch.id.value);
   for (const auto& batch : second) seen.insert(batch.id.value);
   EXPECT_EQ(seen.size(), first.size() + second.size());
+}
+
+// Brute force for first_dispatch_slot: scan the grid through
+// should_dispatch with the gateway's pending count and oldest age.
+std::int64_t scan_first_dispatch_slot(const Batcher& batcher,
+                                      const std::vector<double>& arrivals,
+                                      int target, std::int64_t first_slot,
+                                      DurationMs period_ms) {
+  for (std::int64_t k = first_slot; k < first_slot + 10'000; ++k) {
+    const TimeMs now = static_cast<double>(k) * period_ms;
+    const int pending = static_cast<int>(
+        std::upper_bound(arrivals.begin(), arrivals.end(), now) - arrivals.begin());
+    const DurationMs age =
+        arrivals.empty() || arrivals.front() > now ? 0.0 : now - arrivals.front();
+    if (batcher.should_dispatch(pending, target, age)) return k;
+  }
+  return Batcher::kNoSlot;
+}
+
+TEST(Batcher, FirstDispatchSlotMatchesGridScan) {
+  constexpr DurationMs kPeriod = 20.0;
+  Rng rng(20'240'611);
+  for (int trial = 0; trial < 4'000; ++trial) {
+    const double waits[] = {50.0, 0.0, 13.7, 40.0, rng.uniform(0.0, 90.0)};
+    const DurationMs max_wait = waits[rng.uniform_int(0, 4)];
+    const Batcher batcher(BatcherConfig{.max_wait_ms = max_wait});
+    // Arrivals on grid instants, at grid instants less the wait (the
+    // oldest ages out exactly on the grid), and anywhere in between.
+    std::vector<double> arrivals(static_cast<std::size_t>(rng.uniform_int(0, 12)));
+    for (auto& arrival : arrivals) {
+      const double grid = static_cast<double>(rng.uniform_int(0, 30)) * kPeriod;
+      switch (rng.uniform_int(0, 2)) {
+        case 0: arrival = grid; break;
+        case 1: arrival = std::max(0.0, grid - max_wait); break;
+        default: arrival = rng.uniform(0.0, 600.0); break;
+      }
+    }
+    std::sort(arrivals.begin(), arrivals.end());
+    const int target = static_cast<int>(rng.uniform_int(1, 16));
+    const std::int64_t first_slot = rng.uniform_int(0, 40);
+    const TimeMs oldest = arrivals.empty() ? kTimeNever : arrivals.front();
+    const TimeMs target_arrival =
+        static_cast<std::size_t>(target) <= arrivals.size()
+            ? arrivals[static_cast<std::size_t>(target - 1)]
+            : kTimeNever;
+    ASSERT_EQ(batcher.first_dispatch_slot(first_slot, kPeriod, oldest, target_arrival),
+              scan_first_dispatch_slot(batcher, arrivals, target, first_slot, kPeriod))
+        << "trial " << trial << " max_wait " << max_wait << " target " << target
+        << " first_slot " << first_slot << " queued " << arrivals.size();
+  }
+}
+
+TEST(Batcher, FirstDispatchSlotOfEmptyQueueIsNone) {
+  const Batcher batcher;
+  EXPECT_EQ(batcher.first_dispatch_slot(3, 20.0, kTimeNever, kTimeNever),
+            Batcher::kNoSlot);
 }
 
 TEST(Batch, OldestArrival) {

@@ -53,6 +53,23 @@ TEST(Gateway, RequestIdsUnique) {
   EXPECT_EQ(ids.size(), 100u);
 }
 
+TEST(Gateway, QueuedArrivalIndexesTheWholeQueueOldestFirst) {
+  Gateway gateway(Rng(6));
+  gateway.add_workload(kModel);
+  EXPECT_EQ(gateway.queued_arrival(kModel, 0), kTimeNever);
+  gateway.inject(kModel, 8, 100.0, 100.0);
+  const auto taken = gateway.take(kModel, 3, 200.0);
+  gateway.inject(kModel, 5, 200.0, 100.0);  // none has arrived at t = 200
+  ASSERT_EQ(gateway.pending_total(kModel), 10);
+  EXPECT_LE(taken[2].arrival_ms, gateway.queued_arrival(kModel, 0));
+  for (std::size_t i = 1; i < 10; ++i) {
+    EXPECT_LE(gateway.queued_arrival(kModel, i - 1), gateway.queued_arrival(kModel, i));
+  }
+  EXPECT_LT(gateway.queued_arrival(kModel, 4), 200.0);
+  EXPECT_GE(gateway.queued_arrival(kModel, 5), 200.0);
+  EXPECT_EQ(gateway.queued_arrival(kModel, 10), kTimeNever);
+}
+
 TEST(Gateway, OldestAge) {
   Gateway gateway(Rng(5));
   gateway.add_workload(kModel);

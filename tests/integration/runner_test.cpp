@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/exp/summary.hpp"
+#include "src/obs/rollup.hpp"
 #include "src/trace/generators.hpp"
 
 namespace paldia::exp {
@@ -33,6 +34,27 @@ TEST(Runner, ProducesCompleteMetrics) {
   EXPECT_GT(metrics.cost, 0.0);
   EXPECT_GT(metrics.average_power, 0.0);
   EXPECT_GT(metrics.p99_latency_ms, 0.0);
+}
+
+TEST(Runner, ChargesWorkInFlightAtTheDrainCapAsUnserved) {
+  // Far above the initial CPU node's capacity, with a drain cap of a few
+  // hundred ms: the run ends with batches still on the node. They count as
+  // unserved like the gateway's leftovers, and the teardown must not
+  // release their request blocks into a destroyed arena.
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance());
+  auto scenario = short_scenario(models::ModelId::kResNet50, 1000.0, seconds(4));
+  scenario.framework.max_drain_ms = 300.0;
+  obs::RollupAggregator rollup;
+  const auto result =
+      runner.run_once(scenario, SchemeId::kPaldia, 3, false, nullptr, &rollup);
+  std::uint64_t unserved = 0;
+  for (const auto& [key, cell] : rollup.cells()) unserved += cell.unserved;
+  EXPECT_EQ(rollup.completions() + unserved,
+            scenario.workloads.front().trace.total_requests());
+  EXPECT_GT(unserved, 0u);
+  EXPECT_EQ(result.combined.violations_by_cause[static_cast<std::size_t>(
+                telemetry::ViolationCause::kUnserved)],
+            static_cast<double>(unserved));
 }
 
 TEST(Runner, DeterministicForSameSeed) {
