@@ -251,6 +251,9 @@ class RunObserver {
   obs::RunTrace make_trace() const {
     obs::RunTrace trace;
     trace.capture_events = capture_events();
+    // Gauges, per-tick counter samples and framework spans are read by the
+    // Chrome trace alone.
+    trace.config.timeline = !trace_out_.empty();
     trace.collect_rollups = rollups_ != nullptr;
     trace.profile = profile_;
     trace.collect_health = alerts_ != nullptr;

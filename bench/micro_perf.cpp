@@ -329,8 +329,9 @@ void BM_AttributionDisabledHook(benchmark::State& state) {
 BENCHMARK(BM_AttributionDisabledHook);
 
 void BM_AttributionObserve(benchmark::State& state) {
-  // Enabled-path cost per completed request: classify + three bucket
-  // updates (total, per-model, per-node) + one sketch insert each.
+  // Enabled-path cost per completed request: classify + three bucket count
+  // updates (total, per-model, per-node). No latency sketch, as on a run
+  // that exports no Chrome trace.
   obs::AttributionEngine engine(models::Zoo::instance());
   obs::LifecycleSample sample;
   sample.model = static_cast<int>(models::ModelId::kResNet50);
@@ -499,8 +500,8 @@ void BM_GatewayTakeChunk(benchmark::State& state) {
 BENCHMARK(BM_GatewayTakeChunk);
 
 void BM_TracerBulkAppend(benchmark::State& state) {
-  // Per-batch lifecycle recording: one completed 32-request batch fanning
-  // out into 4 events per request.
+  // Per-batch lifecycle recording: one completed 32-request batch, one
+  // event per request (each costs Tracer::kLifecycleUnits of capacity).
   obs::TracerConfig config;
   config.event_capacity = 1 << 22;
   auto tracer = std::make_unique<obs::Tracer>(config);
@@ -509,7 +510,8 @@ void BM_TracerBulkAppend(benchmark::State& state) {
   std::int64_t id = 0;
   double t = 0.0;
   for (auto _ : state) {
-    if (tracer->events().size() + 4 * kBatch > config.event_capacity) {
+    if ((tracer->events().size() + kBatch) * obs::Tracer::kLifecycleUnits >
+        config.event_capacity) {
       state.PauseTiming();
       tracer = std::make_unique<obs::Tracer>(config);
       state.ResumeTiming();
@@ -532,14 +534,16 @@ void BM_TracerBulkAppend(benchmark::State& state) {
 BENCHMARK(BM_TracerBulkAppend);
 
 void BM_TracerRecordLifecycle(benchmark::State& state) {
-  // Enabled-path cost of the heaviest record: 4 events per request.
+  // Enabled-path cost of the heaviest record: one event per request, drawn
+  // as 4 spans in the export.
   obs::TracerConfig config;
   config.event_capacity = 1 << 22;
   auto tracer = std::make_unique<obs::Tracer>(config);
   std::int64_t id = 0;
   double t = 0.0;
   for (auto _ : state) {
-    if (tracer->events().size() + 4 > config.event_capacity) {
+    if ((tracer->events().size() + 1) * obs::Tracer::kLifecycleUnits >
+        config.event_capacity) {
       state.PauseTiming();
       tracer = std::make_unique<obs::Tracer>(config);
       state.ResumeTiming();

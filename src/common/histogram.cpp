@@ -27,13 +27,16 @@ Histogram::Histogram() {
 }
 
 std::size_t Histogram::bucket_index(double value_ms) const {
-  if (value_ms < 0.0) value_ms = 0.0;
+  if (value_ms < 0.0) value_ms = 0.0;  // -inf too
   if (value_ms < kLinearLimitMs) {
     return static_cast<std::size_t>(value_ms / kLinearBucketMs);
   }
-  const double ratio = value_ms / kLinearLimitMs;
-  const auto exp_index = static_cast<std::size_t>(std::log(ratio) / std::log(kGrowth));
-  return std::min(kLinearBuckets + exp_index, buckets_.size() - 1);
+  const std::size_t last = buckets_.size() - 1;
+  const double exp_index = std::log(value_ms / kLinearLimitMs) / std::log(kGrowth);
+  // Past the last bucket, +inf and NaN all land in it; testing before the
+  // cast keeps it in range (a double too large for size_t is undefined).
+  if (!(exp_index < static_cast<double>(last - kLinearBuckets))) return last;
+  return kLinearBuckets + static_cast<std::size_t>(exp_index);
 }
 
 double Histogram::bucket_upper(std::size_t index) const {

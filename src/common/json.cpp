@@ -1,6 +1,7 @@
 #include "src/common/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -165,6 +166,11 @@ class Parser {
     const double value = std::strtod(token.c_str(), &endptr);
     if (endptr != token.c_str() + token.size()) {
       return fail(result, "malformed number '" + token + "'");
+    }
+    // strtod returns +-HUGE_VAL (infinity) on overflow; downstream every
+    // number is assumed finite. Underflow to 0 stays accepted.
+    if (std::isinf(value)) {
+      return fail(result, "number out of range '" + token + "'");
     }
     return JsonValue::number(value);
   }

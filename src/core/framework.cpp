@@ -231,7 +231,11 @@ void Framework::fire_dispatch() {
 void Framework::monitor_tick() {
   obs::ScopedPhase prof(profiler_, obs::ProfilePhase::kMonitorTick);
   const TimeMs now = simulator_->now();
-  if (tracer_ != nullptr) tracer_->begin_span("monitor_tick", now);
+  // The span, attribution gauges, gauge sweep and per-tick counter samples
+  // feed only the Chrome trace; the decision record also feeds the decision
+  // log and the report.
+  const bool timeline = tracer_ != nullptr && tracer_->timeline();
+  if (timeline) tracer_->begin_span("monitor_tick", now);
   std::vector<DemandSnapshot> demand;
   demand.reserve(workloads_.size());
   for (auto& workload : workloads_) {
@@ -291,6 +295,8 @@ void Framework::monitor_tick() {
         break;
       }
     }
+  }
+  if (timeline) {
     if (attribution_ != nullptr) attribution_->sample(*tracer_, now);
     // Gauge sweep: queue depths and container counts per model, plus the
     // cluster-wide saturation signals, then the cumulative counters.

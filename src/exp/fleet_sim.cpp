@@ -89,7 +89,10 @@ FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
   }
 
   // Per-endpoint attribution + calibration engines (the calibration only
-  // fills when the endpoint has a tracer with decision sweeps).
+  // fills when the endpoint has a tracer with decision sweeps, and the
+  // attribution's latency gauges need a tracer that records the timeline).
+  const bool latency_gauges =
+      trace != nullptr && trace->capture_events && trace->config.timeline;
   obs::CalibrationTracker::Config calibration_config;
   if (!scenario.workloads.empty()) {
     calibration_config.slo_ms = kTimeNever;
@@ -103,7 +106,8 @@ FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
   attributions.reserve(slots);
   calibrations.reserve(slots);
   for (std::size_t e = 0; e < slots; ++e) {
-    attributions.push_back(std::make_unique<obs::AttributionEngine>(*zoo_));
+    attributions.push_back(
+        std::make_unique<obs::AttributionEngine>(*zoo_, latency_gauges));
     calibrations.push_back(
         std::make_unique<obs::CalibrationTracker>(calibration_config));
   }

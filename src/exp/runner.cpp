@@ -51,9 +51,11 @@ RunResult Runner::run_once(const Scenario& scenario, SchemeId scheme,
   config.health = health;
 
   // Violation attribution runs on every repetition (it feeds the per-cause
-  // RunMetrics); calibration needs the tracer's decision sweeps, but the
-  // tracker itself is harmless without them.
-  obs::AttributionEngine attribution(*zoo_);
+  // RunMetrics); its latency gauges join a timeline-recording tracer's.
+  // Calibration needs the tracer's decision sweeps, but the tracker itself
+  // is harmless without them.
+  obs::AttributionEngine attribution(*zoo_,
+                                     tracer != nullptr && tracer->timeline());
   obs::CalibrationTracker::Config calibration_config;
   if (!scenario.workloads.empty()) {
     calibration_config.slo_ms = kTimeNever;

@@ -67,10 +67,11 @@ bool BlackoutWindows::overlaps(TimeMs begin_ms, TimeMs end_ms) const {
   return first != windows_.end() && end_ms >= first->begin_ms;
 }
 
-AttributionEngine::AttributionEngine(const models::Zoo& zoo) {
+AttributionEngine::AttributionEngine(const models::Zoo& zoo, bool latency_gauges) {
   for (int i = 0; i < models::kModelCount; ++i) {
     slo_ms_[i] = zoo.spec(models::ModelId(i)).slo_ms;
   }
+  if (latency_gauges) latency_.emplace();
 }
 
 std::optional<telemetry::ViolationCause> AttributionEngine::observe_request(
@@ -82,15 +83,9 @@ std::optional<telemetry::ViolationCause> AttributionEngine::observe_request(
 
   const DurationMs latency = sample.end_ms - sample.arrival_ms;
   ++total_.completed;
-  total_.latency.insert(latency);
-  if (model_ok) {
-    ++per_model_[sample.model].completed;
-    per_model_[sample.model].latency.insert(latency);
-  }
-  if (node_ok) {
-    ++per_node_[sample.node].completed;
-    per_node_[sample.node].latency.insert(latency);
-  }
+  if (latency_) latency_->insert(latency);
+  if (model_ok) ++per_model_[sample.model].completed;
+  if (node_ok) ++per_node_[sample.node].completed;
 
   if (!model_ok || latency <= slo_ms_[sample.model]) return std::nullopt;
 
@@ -141,8 +136,8 @@ void AttributionEngine::sample(Tracer& tracer, TimeMs now) {
     tracer.gauge(kCauseGaugeNames[i], now, static_cast<double>(window_[i]));
     window_[i] = 0;
   }
-  if (!total_.latency.empty()) {
-    const SketchSummary summary = total_.latency.summary();
+  if (latency_ && !latency_->empty()) {
+    const SketchSummary summary = latency_->summary();
     tracer.gauge("latency_sketch_p50_ms", now, summary.p50_ms);
     tracer.gauge("latency_sketch_p95_ms", now, summary.p95_ms);
     tracer.gauge("latency_sketch_p99_ms", now, summary.p99_ms);

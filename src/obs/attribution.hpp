@@ -104,18 +104,20 @@ class BlackoutWindows {
 };
 
 /// Per-model / per-node aggregation cell: completion + violation counts by
-/// cause plus a streaming latency sketch.
+/// cause.
 struct AttributionBucket {
   std::uint64_t completed = 0;
   std::uint64_t violations = 0;
   telemetry::ViolationCauseCounts causes{};
-  QuantileSketch latency;
 };
 
 class AttributionEngine {
  public:
   /// `zoo` supplies each model's SLO (snapshotted at construction).
-  explicit AttributionEngine(const models::Zoo& zoo);
+  /// `latency_gauges` keeps the run-wide latency sketch whose quantiles
+  /// sample() gauges; only a run whose tracer records the timeline
+  /// (TracerConfig::timeline) calls sample(), so only it needs one.
+  explicit AttributionEngine(const models::Zoo& zoo, bool latency_gauges = false);
 
   /// One completed request. Fills the retried/blackout flags from engine
   /// state, aggregates, and returns the root cause when the request
@@ -137,8 +139,8 @@ class AttributionEngine {
   void record_unserved(int model, std::uint64_t count);
 
   /// Monitor-tick sampling into the metrics stream: cumulative violation
-  /// total, per-cause counts that moved since the last sample, and the
-  /// current p50/p95/p99 of the streaming latency sketch.
+  /// total, per-cause counts that moved since the last sample, and (with
+  /// latency_gauges) the current p50/p95/p99 of the streaming latency sketch.
   void sample(Tracer& tracer, TimeMs now);
 
   // --- Aggregates ----------------------------------------------------------
@@ -155,6 +157,8 @@ class AttributionEngine {
   BlackoutWindows blackouts_;
   std::unordered_set<std::int64_t> retried_;
   AttributionBucket total_;
+  /// With latency_gauges: every completion; sample() gauges its quantiles.
+  std::optional<QuantileSketch> latency_;
   std::array<AttributionBucket, models::kModelCount> per_model_;
   std::array<AttributionBucket, hw::kNodeTypeCount> per_node_;
   telemetry::ViolationCauseCounts window_{};  // since the last sample()

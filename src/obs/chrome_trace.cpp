@@ -68,31 +68,53 @@ void emit_metadata(EventStream& stream, int pid, int tid, const char* kind,
               "\",\"args\":{\"name\":\"" + json_escape(name) + "\"}");
 }
 
-void emit_request_async(EventStream& stream, int pid, const TraceEvent& event,
-                        const char* ph, TimeMs ts, const std::string& args) {
+void emit_request_async(EventStream& stream, int pid, std::int64_t id,
+                        const char* name, const char* ph, TimeMs ts,
+                        const std::string& args) {
   std::string body = common_fields(ph, pid, /*tid=*/0, ts);
-  body += ",\"cat\":\"request\",\"id\":" + std::to_string(event.id);
+  body += ",\"cat\":\"request\",\"id\":" + std::to_string(id);
   body += ",\"name\":\"";
-  body += event.name;
+  body += name;
   body += "\"";
   if (!args.empty()) body += ",\"args\":{" + args + "}";
   stream.emit(body);
 }
 
-std::string request_args(const TraceEvent& event, bool with_components) {
-  std::string args = "\"model\":\"" + json_escape(model_name(event.model)) +
-                     "\",\"node\":\"" + json_escape(node_name(event.node)) +
-                     "\",\"lane\":\"" + lane_name(event.mode) +
-                     "\",\"batch_size\":" + std::to_string(event.batch_size) +
-                     ",\"spatial\":" + std::to_string(event.spatial) +
-                     ",\"temporal\":" + std::to_string(event.temporal);
-  if (with_components) {
-    args += ",\"latency_ms\":" + format_number(event.end_ms - event.start_ms) +
-            ",\"solo_ms\":" + format_number(event.solo_ms) +
-            ",\"interference_ms\":" + format_number(event.interference_ms) +
-            ",\"cold_start_ms\":" + format_number(event.cold_ms);
+std::string request_args(const TraceEvent& event) {
+  return "\"model\":\"" + json_escape(model_name(event.model)) +
+         "\",\"node\":\"" + json_escape(node_name(event.node)) +
+         "\",\"lane\":\"" + lane_name(event.mode) +
+         "\",\"batch_size\":" + std::to_string(event.batch_size) +
+         ",\"spatial\":" + std::to_string(event.spatial) +
+         ",\"temporal\":" + std::to_string(event.temporal) +
+         ",\"latency_ms\":" + format_number(event.end_ms - event.start_ms) +
+         ",\"solo_ms\":" + format_number(event.solo_ms) +
+         ",\"interference_ms\":" + format_number(event.interference_ms) +
+         ",\"cold_start_ms\":" + format_number(event.cold_ms);
+}
+
+/// One kRequest event as the nestable async sequence a trace viewer draws:
+/// the request's "b" with its args, a "b"/"e" pair per phase (queue,
+/// dispatch, execute) whose "e" carries the phase's duration, then the
+/// request's "e".
+void emit_request(EventStream& stream, int pid, const TraceEvent& event) {
+  emit_request_async(stream, pid, event.id, "request", "b", event.start_ms,
+                     request_args(event));
+  const struct {
+    const char* name;
+    TimeMs begin_ms;
+    TimeMs end_ms;
+  } phases[] = {
+      {"queue", event.start_ms, event.submit_ms},          // gateway + batching
+      {"dispatch", event.submit_ms, event.exec_start_ms},  // lane/container/cold
+      {"execute", event.exec_start_ms, event.end_ms},      // solo + interference
+  };
+  for (const auto& phase : phases) {
+    emit_request_async(stream, pid, event.id, phase.name, "b", phase.begin_ms, "");
+    emit_request_async(stream, pid, event.id, phase.name, "e", phase.end_ms,
+                       "\"dur_ms\":" + format_number(phase.end_ms - phase.begin_ms));
   }
-  return args;
+  emit_request_async(stream, pid, event.id, "request", "e", event.end_ms, "");
 }
 
 void emit_decision(EventStream& stream, int pid, const DecisionRecord& record) {
@@ -167,24 +189,8 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
   for (const auto& event : tracer.events()) {
     switch (event.type) {
       case TraceEvent::Type::kRequest:
-        emit_request_async(stream, base, event, "b", event.start_ms,
-                           request_args(event, /*with_components=*/true));
+        emit_request(stream, base, event);
         break;
-      case TraceEvent::Type::kPhase: {
-        emit_request_async(stream, base, event, "b", event.start_ms, "");
-        TraceEvent end = event;
-        std::string args = "\"dur_ms\":" + format_number(event.end_ms - event.start_ms);
-        emit_request_async(stream, base, end, "e", event.end_ms, args);
-        // The parent kRequest "e" is emitted when its last phase closes:
-        // record_request_lifecycle orders phases queue/dispatch/execute, so
-        // "execute" is always the closer.
-        if (std::string_view(event.name) == "execute") {
-          TraceEvent parent = event;
-          parent.name = "request";
-          emit_request_async(stream, base, parent, "e", event.end_ms, "");
-        }
-        break;
-      }
       case TraceEvent::Type::kBatch: {
         std::string body = common_fields("X", base + 1 + std::max<int>(0, event.node),
                                          lane_tid(event.mode), event.start_ms);
@@ -221,9 +227,7 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
         break;
       }
       case TraceEvent::Type::kCounter: {
-        std::string name = event.counter_name != nullptr
-                               ? std::string(event.counter_name)
-                               : std::string(event.name);
+        std::string name = event.name;
         if (event.model >= 0) name += ":" + model_name(event.model);
         std::string body = common_fields("C", base, /*tid=*/0, event.start_ms);
         body += ",\"name\":\"" + json_escape(name) +

@@ -4,9 +4,10 @@
 // pid base+0 is the framework process — request lifecycle spans are nestable
 // async events (cat "request", id = request id), scheduler decisions are
 // instant events with the full candidate sweep in args, counters/gauges are
-// "C" events — and pid base+1+node is one process per hardware node whose
-// threads are the device lanes (MPS / time-shared / CPU), carrying the batch
-// execution slices.
+// "C" events (per monitor tick only when the tracers recorded the timeline,
+// TracerConfig::timeline) — and pid base+1+node is one process per hardware
+// node whose threads are the device lanes (MPS / time-shared / CPU),
+// carrying the batch execution slices.
 //
 // Output is deterministic: events are serialized in repetition order, in
 // each tracer's recording order, with fixed-precision timestamps — the

@@ -51,33 +51,7 @@ class RepBuilder {
  public:
   explicit RepBuilder(RepData& out) : out_(out) {}
 
-  void on_request_begin(std::int64_t id, TimeMs arrival_ms, int model, int node,
-                        DurationMs solo_ms, DurationMs interference_ms,
-                        DurationMs cold_ms) {
-    LifecycleSample& sample = pending_[id];
-    sample.request_id = id;
-    sample.arrival_ms = arrival_ms;
-    sample.model = model;
-    sample.node = node;
-    sample.solo_ms = solo_ms;
-    sample.interference_ms = interference_ms;
-    sample.cold_ms = cold_ms;
-  }
-
-  /// Phase close at `t`; "execute" completes the sample.
-  void on_phase_end(std::int64_t id, std::string_view phase, TimeMs t_ms) {
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return;  // lifecycle head was dropped
-    if (phase == "queue") {
-      it->second.submit_ms = t_ms;
-    } else if (phase == "dispatch") {
-      it->second.start_ms = t_ms;
-    } else if (phase == "execute") {
-      it->second.end_ms = t_ms;
-      out_.requests.push_back(it->second);
-      pending_.erase(it);
-    }
-  }
+  void on_request(const LifecycleSample& sample) { out_.requests.push_back(sample); }
 
   void on_batch(int node, TimeMs start_ms, DurationMs dur_ms, TimeMs submit_ms,
                 DurationMs e2e_ms) {
@@ -167,7 +141,6 @@ class RepBuilder {
 
  private:
   RepData& out_;
-  std::unordered_map<std::int64_t, LifecycleSample> pending_;
   std::map<int, double> unserved_last_;
   std::map<std::pair<int, int>, double> sampled_out_last_;
   TimeMs last_blackout_ms_ = -kTimeNever;
@@ -193,17 +166,23 @@ RunData extract_run_data(const RunTrace& trace, const std::string& label) {
 
     for (const TraceEvent& event : tracer->events()) {
       switch (event.type) {
-        case TraceEvent::Type::kRequest:
-          builder.on_request_begin(event.id, quantize_timestamp(event.start_ms),
-                                   event.model, event.node,
-                                   quantize_number(event.solo_ms),
-                                   quantize_number(event.interference_ms),
-                                   quantize_number(event.cold_ms));
+        case TraceEvent::Type::kRequest: {
+          // The request's "b" timestamp and args, and its phases' "e"
+          // timestamps, as a reader of the Chrome export parses them.
+          LifecycleSample sample;
+          sample.request_id = event.id;
+          sample.model = event.model;
+          sample.node = event.node;
+          sample.arrival_ms = quantize_timestamp(event.start_ms);
+          sample.submit_ms = quantize_timestamp(event.submit_ms);
+          sample.start_ms = quantize_timestamp(event.exec_start_ms);
+          sample.end_ms = quantize_timestamp(event.end_ms);
+          sample.solo_ms = quantize_number(event.solo_ms);
+          sample.interference_ms = quantize_number(event.interference_ms);
+          sample.cold_ms = quantize_number(event.cold_ms);
+          builder.on_request(sample);
           break;
-        case TraceEvent::Type::kPhase:
-          builder.on_phase_end(event.id, event.name,
-                               quantize_timestamp(event.end_ms));
-          break;
+        }
         case TraceEvent::Type::kBatch: {
           // Mirror chrome_trace.cpp's field arithmetic exactly, then
           // quantize through the same formats a file reader sees.
@@ -222,12 +201,11 @@ RunData extract_run_data(const RunTrace& trace, const std::string& label) {
                   : std::string(),
               event.id);
           break;
-        case TraceEvent::Type::kCounter: {
-          const char* name =
-              event.counter_name != nullptr ? event.counter_name : event.name;
-          if (name != nullptr) builder.on_counter(name, quantize_number(event.value));
+        case TraceEvent::Type::kCounter:
+          if (event.name != nullptr) {
+            builder.on_counter(event.name, quantize_number(event.value));
+          }
           break;
-        }
         case TraceEvent::Type::kSpanBegin:
         case TraceEvent::Type::kSpanEnd:
           break;
@@ -272,21 +250,28 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
   }
   out->reps.resize(static_cast<std::size_t>(std::max(0, out->reps_declared)));
 
-  // Builders are created on demand per repetition; events within a rep
-  // appear in recording order (the exporter writes rep blocks sequentially).
-  std::vector<std::unique_ptr<RepBuilder>> builders;
-  const auto builder_for = [&](int rep) -> RepBuilder& {
+  // Per repetition, created on demand: the shared builder, plus the export's
+  // request records waiting to be paired — the request's "b" with its
+  // phases' "e", keyed by request id. Events within a rep appear in
+  // recording order (the exporter writes rep blocks sequentially).
+  struct OfflineRep {
+    explicit OfflineRep(RepData& out) : builder(out) {}
+    RepBuilder builder;
+    std::unordered_map<std::int64_t, LifecycleSample> pending;
+  };
+  std::vector<std::unique_ptr<OfflineRep>> reps;
+  const auto rep_for = [&](int rep) -> OfflineRep& {
     if (static_cast<std::size_t>(rep) >= out->reps.size()) {
       out->reps.resize(static_cast<std::size_t>(rep) + 1);
     }
-    if (static_cast<std::size_t>(rep) >= builders.size()) {
-      builders.resize(static_cast<std::size_t>(rep) + 1);
+    if (static_cast<std::size_t>(rep) >= reps.size()) {
+      reps.resize(static_cast<std::size_t>(rep) + 1);
     }
-    if (builders[static_cast<std::size_t>(rep)] == nullptr) {
-      builders[static_cast<std::size_t>(rep)] =
-          std::make_unique<RepBuilder>(out->reps[static_cast<std::size_t>(rep)]);
+    if (reps[static_cast<std::size_t>(rep)] == nullptr) {
+      reps[static_cast<std::size_t>(rep)] =
+          std::make_unique<OfflineRep>(out->reps[static_cast<std::size_t>(rep)]);
     }
-    return *builders[static_cast<std::size_t>(rep)];
+    return *reps[static_cast<std::size_t>(rep)];
   };
 
   for (const common::JsonValue& event : events->as_array()) {
@@ -301,24 +286,39 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
 
     if (ph == "b" && name == "request") {
       if (args == nullptr) continue;
-      builder_for(rep).on_request_begin(
-          static_cast<std::int64_t>(event.number_or("id", -1)), t_ms,
-          model_index(args->string_or("model", "")),
-          node_index(args->string_or("node", "")), args->number_or("solo_ms", 0.0),
-          args->number_or("interference_ms", 0.0),
-          args->number_or("cold_start_ms", 0.0));
+      const auto id = static_cast<std::int64_t>(event.number_or("id", -1));
+      LifecycleSample& sample = rep_for(rep).pending[id];
+      sample.request_id = id;
+      sample.arrival_ms = t_ms;
+      sample.model = model_index(args->string_or("model", ""));
+      sample.node = node_index(args->string_or("node", ""));
+      sample.solo_ms = args->number_or("solo_ms", 0.0);
+      sample.interference_ms = args->number_or("interference_ms", 0.0);
+      sample.cold_ms = args->number_or("cold_start_ms", 0.0);
     } else if (ph == "e") {
-      builder_for(rep).on_phase_end(
-          static_cast<std::int64_t>(event.number_or("id", -1)), name, t_ms);
+      // A phase closes at t_ms; "execute" completes the request.
+      OfflineRep& state = rep_for(rep);
+      const auto it =
+          state.pending.find(static_cast<std::int64_t>(event.number_or("id", -1)));
+      if (it == state.pending.end()) continue;  // the request's "b" is missing
+      if (name == "queue") {
+        it->second.submit_ms = t_ms;
+      } else if (name == "dispatch") {
+        it->second.start_ms = t_ms;
+      } else if (name == "execute") {
+        it->second.end_ms = t_ms;
+        state.builder.on_request(it->second);
+        state.pending.erase(it);
+      }
     } else if (ph == "X") {
       // The self-profile lane (--profile) also emits "X" slices; only batch
       // slices carry batch_id, and profile timings must never reach the
       // deterministic report path.
       if (args == nullptr || args->find("batch_id") == nullptr) continue;
-      builder_for(rep).on_batch(pid % kPidsPerRep - 1, t_ms,
-                                event.number_or("dur", 0.0) / 1000.0,
-                                args->number_or("submit_ms", 0.0),
-                                args->number_or("e2e_ms", 0.0));
+      rep_for(rep).builder.on_batch(pid % kPidsPerRep - 1, t_ms,
+                                    event.number_or("dur", 0.0) / 1000.0,
+                                    args->number_or("submit_ms", 0.0),
+                                    args->number_or("e2e_ms", 0.0));
     } else if (ph == "i") {
       if (name == "hardware_selection") {
         if (args == nullptr) continue;
@@ -327,7 +327,7 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
         const std::string final_node = args->string_or("final", "");
         for (const common::JsonValue& candidate : candidates->as_array()) {
           if (candidate.string_or("node", "") != final_node) continue;
-          builder_for(rep).on_decision(
+          rep_for(rep).builder.on_decision(
               t_ms, node_index(final_node), candidate.number_or("t_max_ms", 0.0),
               static_cast<int>(candidate.number_or("best_y", 0)),
               candidate.bool_or("feasible", false),
@@ -342,23 +342,26 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
           node = args->string_or("node", "");
           id = static_cast<std::int64_t>(args->number_or("id", -1));
         }
-        builder_for(rep).on_instant(name, t_ms, std::move(node), id);
+        rep_for(rep).builder.on_instant(name, t_ms, std::move(node), id);
       }
     } else if (ph == "C") {
-      if (args != nullptr) builder_for(rep).on_counter(name, args->number_or("value", 0.0));
+      if (args != nullptr) {
+        rep_for(rep).builder.on_counter(name, args->number_or("value", 0.0));
+      }
     }
   }
-  for (std::size_t rep = 0; rep < builders.size(); ++rep) {
-    if (builders[rep] == nullptr) continue;
-    if (!builders[rep]->disorder().empty()) {
+  for (std::size_t rep = 0; rep < reps.size(); ++rep) {
+    if (reps[rep] == nullptr) continue;
+    RepBuilder& builder = reps[rep]->builder;
+    if (!builder.disorder().empty()) {
       if (error != nullptr) {
-        *error = "rep " + std::to_string(rep) + ": " + builders[rep]->disorder() +
+        *error = "rep " + std::to_string(rep) + ": " + builder.disorder() +
                  "; switch_begin, node_failure and switch_active instants must "
                  "be in time order";
       }
       return false;
     }
-    builders[rep]->finish();
+    builder.finish();
   }
   return true;
 }

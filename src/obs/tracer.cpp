@@ -5,71 +5,15 @@
 namespace paldia::obs {
 
 bool Tracer::reserve(std::size_t n) {
-  if (events_.size() + n > config_.event_capacity) {
+  if (units_ + n > config_.event_capacity) {
     dropped_events_ += n;
     return false;
   }
+  units_ += n;
   return true;
 }
 
 void Tracer::push(const TraceEvent& event) { events_.push_back(event); }
-
-namespace {
-
-/// Compose the 4-event decomposition of one completed request (parent
-/// kRequest span + queue / dispatch / execute kPhase children) into out[0..3].
-/// Shared by the per-request and bulk lifecycle paths so they stay
-/// event-for-event identical.
-void compose_lifecycle(TraceEvent* out, std::int64_t request_id,
-                       models::ModelId model, hw::NodeType node,
-                       cluster::ShareMode mode, int batch_size, int spatial,
-                       int temporal, TimeMs arrival_ms, TimeMs submit_ms,
-                       TimeMs start_ms, TimeMs end_ms, DurationMs solo_ms,
-                       DurationMs interference_ms, DurationMs cold_ms) {
-  TraceEvent event;
-  event.mode = mode;
-  event.model = static_cast<std::int16_t>(model);
-  event.node = static_cast<std::int16_t>(node);
-  event.batch_size = batch_size;
-  event.spatial = spatial;
-  event.temporal = temporal;
-  event.id = request_id;
-
-  event.type = TraceEvent::Type::kRequest;
-  event.name = "request";
-  event.start_ms = arrival_ms;
-  event.end_ms = end_ms;
-  event.solo_ms = solo_ms;
-  event.interference_ms = interference_ms;
-  event.cold_ms = cold_ms;
-  out[0] = event;
-
-  event.type = TraceEvent::Type::kPhase;
-  event.solo_ms = 0.0;
-  event.interference_ms = 0.0;
-  event.cold_ms = 0.0;
-
-  event.name = "queue";  // gateway wait + batch formation
-  event.start_ms = arrival_ms;
-  event.end_ms = submit_ms;
-  out[1] = event;
-
-  event.name = "dispatch";  // lane / container / cold-start waits on the node
-  event.start_ms = submit_ms;
-  event.end_ms = start_ms;
-  event.cold_ms = cold_ms;
-  out[2] = event;
-
-  event.name = "execute";  // device execution (solo + interference stretch)
-  event.start_ms = start_ms;
-  event.end_ms = end_ms;
-  event.solo_ms = solo_ms;
-  event.interference_ms = interference_ms;
-  event.cold_ms = 0.0;
-  out[3] = event;
-}
-
-}  // namespace
 
 bool Tracer::sample_keep(std::int64_t request_id, models::ModelId model,
                          hw::NodeType node, TimeMs arrival_ms, TimeMs end_ms) {
@@ -97,13 +41,25 @@ void Tracer::record_request_lifecycle(std::int64_t request_id, models::ModelId m
                                       DurationMs solo_ms, DurationMs interference_ms,
                                       DurationMs cold_ms) {
   if (!sample_keep(request_id, model, node, arrival_ms, end_ms)) return;
-  // Parent + 3 phases are stored atomically so every retained request has a
-  // complete, contiguous decomposition (phases sum to end - arrival).
-  TraceEvent events[4];
-  compose_lifecycle(events, request_id, model, node, mode, batch_size, spatial,
-                    temporal, arrival_ms, submit_ms, start_ms, end_ms, solo_ms,
-                    interference_ms, cold_ms);
-  append_batch(std::span<const TraceEvent>(events, 4), 4);
+  if (!reserve(kLifecycleUnits)) return;
+  TraceEvent event;
+  event.type = TraceEvent::Type::kRequest;
+  event.mode = mode;
+  event.model = static_cast<std::int16_t>(model);
+  event.node = static_cast<std::int16_t>(node);
+  event.batch_size = batch_size;
+  event.spatial = spatial;
+  event.temporal = temporal;
+  event.id = request_id;
+  event.name = "request";
+  event.start_ms = arrival_ms;
+  event.end_ms = end_ms;
+  event.submit_ms = submit_ms;
+  event.exec_start_ms = start_ms;
+  event.solo_ms = solo_ms;
+  event.interference_ms = interference_ms;
+  event.cold_ms = cold_ms;
+  push(event);
 }
 
 void Tracer::record_batch_lifecycles(const cluster::Request* requests, int count,
@@ -113,39 +69,11 @@ void Tracer::record_batch_lifecycles(const cluster::Request* requests, int count
                                      TimeMs start_ms, TimeMs end_ms,
                                      DurationMs solo_ms, DurationMs interference_ms,
                                      DurationMs cold_ms) {
-  if (count <= 0) return;
-  scratch_.resize(static_cast<std::size_t>(count) * 4);
-  std::size_t kept = 0;
   for (int i = 0; i < count; ++i) {
-    if (!sample_keep(requests[i].id.value, model, node, requests[i].arrival_ms,
-                     end_ms)) {
-      continue;
-    }
-    compose_lifecycle(scratch_.data() + kept * 4, requests[i].id.value, model,
-                      node, mode, batch_size, spatial, temporal,
-                      requests[i].arrival_ms, submit_ms, start_ms, end_ms,
-                      solo_ms, interference_ms, cold_ms);
-    ++kept;
+    record_request_lifecycle(requests[i].id.value, model, node, mode, batch_size,
+                             spatial, temporal, requests[i].arrival_ms, submit_ms,
+                             start_ms, end_ms, solo_ms, interference_ms, cold_ms);
   }
-  if (kept == 0) return;
-  append_batch(std::span<const TraceEvent>(scratch_.data(), kept * 4), 4);
-}
-
-std::size_t Tracer::append_batch(std::span<const TraceEvent> events,
-                                 std::size_t group_size) {
-  if (events.empty()) return 0;
-  if (group_size == 0) group_size = 1;
-  const std::size_t room = events_.size() >= config_.event_capacity
-                               ? 0
-                               : config_.event_capacity - events_.size();
-  // Accept only a leading whole number of groups: byte-for-byte the same
-  // retained prefix as per-group reserve() calls hitting the cap in order.
-  const std::size_t accepted = std::min(events.size(), room) / group_size * group_size;
-  dropped_events_ += events.size() - accepted;
-  if (accepted == 0) return 0;
-  events_.insert(events_.end(), events.begin(),
-                 events.begin() + static_cast<std::ptrdiff_t>(accepted));
-  return accepted;
 }
 
 void Tracer::record_batch(std::int64_t batch_id, models::ModelId model,
@@ -227,7 +155,11 @@ void Tracer::end_span(const char* name, TimeMs now) {
   push(event);
 }
 
-void Tracer::count(const char* name, double delta) { counters_[name] += delta; }
+void Tracer::count(std::string_view name, double delta) {
+  auto it = counters_.find(name);
+  if (it == counters_.end()) it = counters_.emplace(std::string(name), 0.0).first;
+  it->second += delta;
+}
 
 void Tracer::gauge(const char* name, TimeMs now, double value, int model_tag) {
   if (!reserve(1)) return;
@@ -263,15 +195,14 @@ void Tracer::sample_counters(TimeMs now) {
     if (!reserve(1)) return;
     TraceEvent event;
     event.type = TraceEvent::Type::kCounter;
-    event.name = nullptr;  // dynamic name: exporters read counter_name
-    event.counter_name = name.c_str();
+    event.name = name.c_str();
     event.start_ms = event.end_ms = now;
     event.value = value;
     push(event);
   }
 }
 
-double Tracer::counter_value(const std::string& name) const {
+double Tracer::counter_value(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0.0 : it->second;
 }

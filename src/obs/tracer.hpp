@@ -7,16 +7,18 @@
 // regardless of how many worker threads ran the repetitions.
 //
 // Three record families:
-//  (a) per-request lifecycle spans — arrival -> gateway queue -> dispatch
-//      (lane/container/cold-start waits) -> execution -> completion, tagged
-//      with model, node, batch size and the spatial/temporal split the Job
-//      Distributor enacted;
+//  (a) per-request lifecycles — one event per sampled request carrying its
+//      arrival, gateway hand-off, execution start and completion times,
+//      tagged with model, node, batch size and the spatial/temporal split
+//      the Job Distributor enacted;
 //  (b) scheduler decision records — one per monitor tick: the candidate
 //      sweep of Algorithm 1 (per-node best T_max, feasibility, price), the
 //      winner, hysteresis counter state, and whether a reconfiguration was
 //      started;
-//  (c) a counter/gauge registry (cold starts, requeues, batch sizes, queue
-//      depths) sampled into the event stream on monitor ticks.
+//  (c) a counter registry (cold starts, requeues, batch sizes, unserved and
+//      sampled-out tallies) sampled into the event stream at the end of the
+//      run, plus — with TracerConfig::timeline — gauges, per-tick counter
+//      samples and framework spans, which only a Chrome trace reads.
 //
 // Hot-path discipline matches log.hpp: call sites hold a Tracer* that is
 // nullptr when tracing is disabled, so the disabled cost is a single branch.
@@ -29,8 +31,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cluster/request.hpp"
@@ -45,7 +47,9 @@
 namespace paldia::obs {
 
 struct TracerConfig {
-  /// Event-buffer capacity (events beyond it are counted, not stored).
+  /// Event-buffer capacity. Every record counts 1 against it and a request
+  /// lifecycle Tracer::kLifecycleUnits; events beyond it are counted, not
+  /// stored.
   std::size_t event_capacity = 262'144;
   /// Decision-record capacity (one record per monitor tick; generous).
   std::size_t decision_capacity = 65'536;
@@ -56,12 +60,16 @@ struct TracerConfig {
   std::uint32_t sample_rate = 1;
   /// Seed for the sampler's request-id hash (see obs/sampler.hpp).
   std::uint64_t sampler_seed = kDefaultSamplerSeed;
+  /// Keep the records only a Chrome trace reads: the framework's gauge
+  /// sweep, per-tick counter samples and monitor_tick spans. The report,
+  /// decision log and the other streams read none of them, so only a run
+  /// that exports a Chrome trace (--trace-out) turns this on.
+  bool timeline = false;
 };
 
 struct TraceEvent {
   enum class Type : std::uint8_t {
-    kRequest,    // parent request span: arrival -> completion
-    kPhase,      // lifecycle phase of a request (queue / dispatch / execute)
+    kRequest,    // one sampled request: arrival -> submit -> start -> end
     kBatch,      // one batch execution on a device lane
     kInstant,    // point event (hardware switches, failures, ...)
     kCounter,    // counter/gauge sample
@@ -70,24 +78,31 @@ struct TraceEvent {
   };
 
   Type type{};
-  cluster::ShareMode mode{};    // lane for kBatch / kRequest / kPhase
+  cluster::ShareMode mode{};    // lane for kBatch / kRequest
   std::int16_t model = -1;      // models::ModelId, -1 = not applicable
   std::int16_t node = -1;       // hw::NodeType, -1 = not applicable
   std::int32_t batch_size = 0;
   std::int32_t spatial = 0;     // the Job Distributor's y split for the round
   std::int32_t temporal = 0;
-  std::int64_t id = -1;         // request id (kRequest/kPhase) or batch id
-  const char* name = nullptr;   // static string literal
-  /// Counter samples emitted by sample_counters() carry the registry key
-  /// here (points into the tracer's registry; valid while it lives).
-  const char* counter_name = nullptr;
-  TimeMs start_ms = 0.0;
-  TimeMs end_ms = 0.0;
-  double value = 0.0;           // counter/gauge value
+  std::int64_t id = -1;         // request id (kRequest) or batch id
+  /// A static string literal. Counter samples emitted by sample_counters()
+  /// carry the registry key instead (it points into the tracer's registry
+  /// and stays valid while the tracer lives).
+  const char* name = nullptr;
+  TimeMs start_ms = 0.0;        // kRequest: arrival
+  TimeMs end_ms = 0.0;          // kRequest: completion
+  union {
+    double value = 0.0;  // counter/gauge/instant value; kBatch: lane wait
+    TimeMs submit_ms;    // kRequest: gateway -> Job Distributor hand-off
+  };
+  TimeMs exec_start_ms = 0.0;   // kRequest: device execution start
   DurationMs solo_ms = 0.0;
   DurationMs interference_ms = 0.0;
   DurationMs cold_ms = 0.0;
 };
+// The event buffer is most of the tracer's memory: a request's four times
+// share the record size of every other event.
+static_assert(sizeof(TraceEvent) == 96);
 
 /// One candidate of Algorithm 1's per-tick sweep.
 struct CandidateEval {
@@ -147,11 +162,16 @@ class Tracer {
   }
 
   // --- Request lifecycle ---------------------------------------------------
-  /// Record one completed request: emits a parent kRequest span plus three
-  /// contiguous kPhase children (queue: arrival->submit, dispatch:
-  /// submit->start, execute: start->end) whose durations sum exactly to the
-  /// end-to-end latency. Atomic against the capacity cap: either all four
-  /// events are stored or all four are dropped.
+  /// Units of event_capacity (and of dropped_events) one lifecycle costs:
+  /// the Chrome export draws it as four spans (the request and its queue,
+  /// dispatch and execute phases), so caps and drop counts keep counting
+  /// what a reader of the export sees.
+  static constexpr std::size_t kLifecycleUnits = 4;
+
+  /// Record one completed request as a single kRequest event. Its phases
+  /// (queue: arrival->submit, dispatch: submit->start, execute: start->end)
+  /// are contiguous, so their durations sum exactly to the end-to-end
+  /// latency. Stored or dropped whole against the capacity cap.
   void record_request_lifecycle(std::int64_t request_id, models::ModelId model,
                                 hw::NodeType node, cluster::ShareMode mode,
                                 int batch_size, int spatial, int temporal,
@@ -159,24 +179,14 @@ class Tracer {
                                 TimeMs end_ms, DurationMs solo_ms,
                                 DurationMs interference_ms, DurationMs cold_ms);
 
-  /// Bulk lifecycle path: one call per *batch* completion instead of one
-  /// per request. Composes all 4*count lifecycle events into a scratch
-  /// buffer and lands them with a single capacity check + bulk insert
-  /// (groups of 4 stay atomic: a request's span quartet is either stored
-  /// whole or dropped whole, exactly like the per-request path).
+  /// record_request_lifecycle for every member of a completed batch, which
+  /// share everything but their id and arrival time.
   void record_batch_lifecycles(const cluster::Request* requests, int count,
                                models::ModelId model, hw::NodeType node,
                                cluster::ShareMode mode, int batch_size, int spatial,
                                int temporal, TimeMs submit_ms, TimeMs start_ms,
                                TimeMs end_ms, DurationMs solo_ms,
                                DurationMs interference_ms, DurationMs cold_ms);
-
-  /// Append pre-composed events in one capacity check + one insert. When
-  /// group_size > 1, only a leading whole number of groups is accepted
-  /// (atomicity unit); whatever does not fit is counted dropped. Returns
-  /// the number of events stored.
-  std::size_t append_batch(std::span<const TraceEvent> events,
-                           std::size_t group_size = 0);
 
   /// Record one batch execution on a device lane.
   void record_batch(std::int64_t batch_id, models::ModelId model, hw::NodeType node,
@@ -206,16 +216,18 @@ class Tracer {
 
   // --- Counter/gauge registry ----------------------------------------------
   /// Accumulate a named counter (no event emitted; sample_counters() dumps
-  /// the totals). The registry keys by copied string, so dynamic names
-  /// (e.g. "unserved:<model>") are safe here, unlike gauge().
-  void count(const char* name, double delta = 1.0);
+  /// the totals). The registry copies the name on its first use only, so
+  /// dynamic names (e.g. "unserved:<model>") are safe here, unlike gauge().
+  void count(std::string_view name, double delta = 1.0);
   /// Emit one gauge sample event. model_tag tags the sample with a model
   /// (e.g. per-model queue depth); -1 = untagged.
   void gauge(const char* name, TimeMs now, double value, int model_tag = -1);
   /// Emit a kCounter event per registered counter, in name order.
   void sample_counters(TimeMs now);
-  double counter_value(const std::string& name) const;
-  const std::map<std::string, double>& counters() const { return counters_; }
+  double counter_value(std::string_view name) const;
+  const std::map<std::string, double, std::less<>>& counters() const {
+    return counters_;
+  }
 
   // --- Scheduler decisions -------------------------------------------------
   /// Open the decision record for the current monitor tick. Returns nullptr
@@ -232,6 +244,8 @@ class Tracer {
   std::uint64_t dropped_events() const { return dropped_events_; }
   std::uint64_t dropped_decisions() const { return dropped_decisions_; }
   const TracerConfig& config() const { return config_; }
+  /// Record the Chrome-only timeline (TracerConfig::timeline)?
+  bool timeline() const { return config_.timeline; }
   const TraceSampler& sampler() const { return sampler_; }
   /// Compliant lifecycles the sampler dropped (not stored, not counted as
   /// dropped_events — the per-(model, node) totals live in the counter
@@ -253,11 +267,11 @@ class Tracer {
   TraceSampler sampler_;
   std::array<DurationMs, models::kModelCount> slo_ms_{};
   std::vector<TraceEvent> events_;
-  std::vector<TraceEvent> scratch_;  // bulk-lifecycle staging, reused
+  std::size_t units_ = 0;  // event_capacity used: kLifecycleUnits per request
   std::vector<DecisionRecord> decisions_;
   DecisionRecord* open_decision_ = nullptr;
   std::vector<const char*> span_stack_;
-  std::map<std::string, double> counters_;
+  std::map<std::string, double, std::less<>> counters_;
   std::uint64_t dropped_events_ = 0;
   std::uint64_t dropped_decisions_ = 0;
   std::uint64_t unbalanced_ = 0;

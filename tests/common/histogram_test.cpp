@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -165,6 +166,30 @@ TEST(Histogram, ValuesBeyondMaxTrackable) {
   h.add(1e9);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_GE(h.quantile(1.0), Histogram::kMaxTrackableMs * 0.9);
+}
+
+TEST(Histogram, NonFiniteAndExtremeValuesLandInTheEdgeBuckets) {
+  // +inf, NaN and values past the tracked range go to the last bucket, -inf
+  // and negatives to bucket 0, without an out-of-range float-to-integer
+  // cast (the asan preset's float-cast-overflow check aborts on one).
+  const auto only_bucket = [](double value) {
+    Histogram h;
+    h.add(value);
+    EXPECT_EQ(h.count(), 1u);
+    const auto buckets = h.nonzero_buckets();
+    EXPECT_EQ(buckets.size(), 1u) << value;
+    return buckets.empty() ? -1.0 : buckets[0].first;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double last = only_bucket(1e9);
+  EXPECT_GE(last, Histogram::kMaxTrackableMs * 0.9);
+  EXPECT_EQ(only_bucket(kInf), last);
+  EXPECT_EQ(only_bucket(std::numeric_limits<double>::quiet_NaN()), last);
+  EXPECT_EQ(only_bucket(std::numeric_limits<double>::max()), last);
+  const double first = only_bucket(0.0);
+  EXPECT_LE(first, Histogram::kLinearBucketMs);
+  EXPECT_EQ(only_bucket(-kInf), first);
+  EXPECT_EQ(only_bucket(std::numeric_limits<double>::lowest()), first);
 }
 
 TEST(Histogram, QuantileClampedToObservedRange) {

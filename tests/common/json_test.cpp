@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace paldia::common {
 namespace {
@@ -63,6 +64,30 @@ TEST(JsonParser, ReportsErrorsWithLineNumbers) {
   EXPECT_FALSE(parse_json("nul").ok);
   EXPECT_FALSE(parse_json("-").ok);
   EXPECT_FALSE(parse_json("\"open").ok);
+}
+
+TEST(JsonParser, RejectsNumbersThatOverflowAndAcceptsUnderflow) {
+  // strtod turns an overflowing number into an infinity; the parser refuses
+  // it and names it. Underflow to zero is an ordinary (tiny) number.
+  const std::pair<const char*, const char*> cases[] = {
+      {"1e999", "'1e999'"},
+      {"-1e999", "'-1e999'"},
+      {"[1, 1e400]", "'1e400'"},
+      {"{\"ts\":1e999}", "'1e999'"},
+  };
+  for (const auto& [text, token] : cases) {
+    const auto result = parse_json(text);
+    EXPECT_FALSE(result.ok) << text;
+    EXPECT_NE(result.error.find("number out of range"), std::string::npos)
+        << result.error;
+    EXPECT_NE(result.error.find(token), std::string::npos) << result.error;
+  }
+  const auto tiny = parse_json("1e-400");
+  ASSERT_TRUE(tiny.ok) << tiny.error;
+  EXPECT_EQ(tiny.value.as_number(), 0.0);
+  const auto negative_tiny = parse_json("-1e-400");
+  ASSERT_TRUE(negative_tiny.ok) << negative_tiny.error;
+  EXPECT_EQ(negative_tiny.value.as_number(), 0.0);
 }
 
 TEST(JsonParser, TrailingInputIsAllowedAndEndReported) {

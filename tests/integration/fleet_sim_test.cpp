@@ -63,6 +63,7 @@ Exports run_exports(const hw::Catalog& catalog, ThreadPool* pool,
   const Scenario scenario = fleet_scenario();
 
   obs::RunTrace trace;
+  trace.config.timeline = true;  // the Chrome export's gauges and spans
   const FleetSimResult result =
       sim.run(scenario, SchemeId::kPaldia, kEndpoints, &trace);
   EXPECT_EQ(static_cast<std::size_t>(result.endpoints), trace.reps.size());
@@ -107,6 +108,12 @@ TEST(FleetSim, PooledVsSerialBitIdentical) {
   ThreadPool pool(4);
   const Exports serial = run_exports(catalog, nullptr, "serial");
   ASSERT_FALSE(serial.chrome_trace.empty());
+  // The Chrome trace carries the timeline, so the comparison below covers
+  // the gauges and monitor_tick spans too.
+  EXPECT_NE(serial.chrome_trace.find("\"name\":\"latency_sketch_p99_ms\""),
+            std::string::npos);
+  EXPECT_NE(serial.chrome_trace.find("\"name\":\"monitor_tick\""),
+            std::string::npos);
   ASSERT_FALSE(serial.metrics.empty());
   ASSERT_GT(serial.total_requests, 0u);
   const Exports pooled = run_exports(catalog, &pool, "pooled");

@@ -182,6 +182,7 @@ TEST(HealthPipeline, ChromeTraceGainsAHealthLane) {
   const Scenario scenario = health_scenario(true);
   obs::RunTrace trace;
   trace.collect_health = true;  // events on too: the lane joins the pids
+  trace.config.timeline = true;  // as --trace-out records it
   const RunResult result = runner.run(scenario, SchemeId::kPaldia, trace);
   (void)result;
   std::ostringstream chrome;

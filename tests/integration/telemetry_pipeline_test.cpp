@@ -69,6 +69,7 @@ Exports run_exports(std::uint32_t sample_rate, ThreadPool* pool,
 
   obs::RunTrace trace;
   trace.collect_rollups = true;
+  trace.config.timeline = true;  // the Chrome export's gauges and spans
   const RunResult result = runner.run(scenario, SchemeId::kPaldia, trace);
 
   Exports exports;
@@ -118,6 +119,12 @@ TEST(TelemetryPipeline, SampledExportsBitIdenticalAcrossThreads) {
   ThreadPool pool(8);
   const Exports pooled = run_exports(8, &pool, "r8pool");
   ASSERT_FALSE(pooled.chrome_trace.empty());
+  // The Chrome trace carries the timeline, so the comparison below covers
+  // the gauges and monitor_tick spans too.
+  EXPECT_NE(pooled.chrome_trace.find("\"name\":\"latency_sketch_p99_ms\""),
+            std::string::npos);
+  EXPECT_NE(pooled.chrome_trace.find("\"name\":\"monitor_tick\""),
+            std::string::npos);
   ASSERT_FALSE(pooled.rollups.empty());
   EXPECT_GT(pooled.sampled_out, 0u);
 

@@ -1,27 +1,42 @@
 // End-to-end tests of the tracing pipeline on a real (small) simulated run:
-// phase durations sum exactly to end-to-end latency, the decision log has
-// one record per monitor tick consistent with the candidate sweep, and the
-// serialized Chrome trace / JSONL exports are byte-identical between serial
-// and parallel repetition execution.
+// phase durations sum exactly to end-to-end latency, a request's Chrome
+// records match the four-event reference byte for byte, the decision log
+// has one record per monitor tick consistent with the candidate sweep, and
+// the serialized Chrome trace / JSONL exports are byte-identical between
+// serial and parallel repetition execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <filesystem>
 #include <map>
+#include <random>
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <vector>
 
+#include "src/common/json.hpp"
 #include "src/core/framework.hpp"
 #include "src/exp/runner.hpp"
 #include "src/obs/chrome_trace.hpp"
 #include "src/obs/export.hpp"
+#include "src/obs/sampler.hpp"
+#include "src/obs/text_format.hpp"
 #include "src/obs/tracer.hpp"
 #include "src/trace/generators.hpp"
 
 namespace paldia::obs {
 namespace {
+
+/// A Chrome trace carries the timeline: the framework's gauge sweep, the
+/// attribution engine's latency gauges and the monitor_tick spans.
+bool has_timeline(const std::string& chrome) {
+  return chrome.find("\"name\":\"in_flight_batches\"") != std::string::npos &&
+         chrome.find("\"name\":\"latency_sketch_p99_ms\"") != std::string::npos &&
+         chrome.find("\"ph\":\"B\",") != std::string::npos &&
+         chrome.find("\"name\":\"monitor_tick\"") != std::string::npos;
+}
 
 exp::Scenario small_scenario(int repetitions = 2) {
   exp::Scenario scenario;
@@ -39,6 +54,7 @@ exp::Scenario small_scenario(int repetitions = 2) {
 TEST(TraceExport, PhaseDurationsSumToEndToEndLatency) {
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance());
   RunTrace trace;
+  trace.config.timeline = true;  // the monitor_tick spans checked below
   const auto result =
       runner.run(small_scenario(1), exp::SchemeId::kPaldia, trace);
   ASSERT_EQ(trace.reps.size(), 1u);
@@ -46,31 +62,258 @@ TEST(TraceExport, PhaseDurationsSumToEndToEndLatency) {
 
   const Tracer& tracer = *trace.reps[0];
   std::size_t requests_seen = 0;
-  const auto& events = tracer.events();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].type != TraceEvent::Type::kRequest) continue;
+  std::size_t spans_opened = 0;
+  for (const TraceEvent& event : tracer.events()) {
+    spans_opened += event.type == TraceEvent::Type::kSpanBegin ? 1 : 0;
+    if (event.type != TraceEvent::Type::kRequest) continue;
     ++requests_seen;
-    const TraceEvent& parent = events[i];
-    // The three phases follow contiguously (atomic 4-event reservation).
-    ASSERT_LE(i + 3, events.size() - 0u);
-    double phase_sum = 0.0;
-    TimeMs cursor = parent.start_ms;
-    for (std::size_t p = i + 1; p <= i + 3; ++p) {
-      ASSERT_EQ(events[p].type, TraceEvent::Type::kPhase);
-      ASSERT_EQ(events[p].id, parent.id);
-      EXPECT_DOUBLE_EQ(events[p].start_ms, cursor);
-      cursor = events[p].end_ms;
-      phase_sum += events[p].end_ms - events[p].start_ms;
-    }
     // queue + dispatch + execute == arrival -> completion, exactly.
-    EXPECT_DOUBLE_EQ(phase_sum, parent.end_ms - parent.start_ms);
-    EXPECT_DOUBLE_EQ(cursor, parent.end_ms);
+    const double queue = event.submit_ms - event.start_ms;
+    const double dispatch = event.exec_start_ms - event.submit_ms;
+    const double execute = event.end_ms - event.exec_start_ms;
+    EXPECT_GE(queue, 0.0);
+    EXPECT_GE(dispatch, 0.0);
+    EXPECT_GE(execute, 0.0);
+    EXPECT_DOUBLE_EQ(queue + dispatch + execute, event.end_ms - event.start_ms);
   }
   // The run served real traffic: ~30 rps * 30 s, minus drops.
   EXPECT_GT(requests_seen, 100u);
   EXPECT_EQ(requests_seen, static_cast<std::size_t>(result.combined.requests));
+  // Every monitor tick's span closed, and there were spans to close.
+  EXPECT_GT(spans_opened, 0u);
   EXPECT_EQ(tracer.open_spans(), 0);
   EXPECT_EQ(tracer.unbalanced_spans(), 0u);
+
+  // In the export, each request's phases are contiguous: the queue opens at
+  // the request's "b", each phase opens where the last closed, and
+  // "execute" closes at the request's "e", so their dur_ms sum to its
+  // latency_ms.
+  std::ostringstream out;
+  write_chrome_trace(out, trace, "phases");
+  const auto parsed = common::parse_json(out.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  struct Open {
+    double cursor_us = 0.0;
+    double latency_ms = 0.0;
+    double phase_sum_ms = 0.0;
+    int phases = 0;
+  };
+  std::map<std::int64_t, Open> open;
+  std::size_t closed = 0;
+  for (const common::JsonValue& event : parsed.value.find("traceEvents")->as_array()) {
+    if (event.string_or("cat", "") != "request") continue;
+    const auto id = static_cast<std::int64_t>(event.number_or("id", -1));
+    const std::string ph = event.string_or("ph", "");
+    const std::string name = event.string_or("name", "");
+    const double ts = event.number_or("ts", -1.0);
+    if (name == "request" && ph == "b") {
+      open[id] = Open{ts, event.find("args")->number_or("latency_ms", -1.0)};
+      continue;
+    }
+    ASSERT_EQ(open.count(id), 1u) << id;
+    Open& request = open[id];
+    if (name == "request") {
+      EXPECT_EQ(request.phases, 3) << id;
+      EXPECT_EQ(ts, request.cursor_us) << id;
+      EXPECT_NEAR(request.phase_sum_ms, request.latency_ms,
+                  1e-9 * std::max(1.0, request.latency_ms))
+          << id;
+      open.erase(id);
+      ++closed;
+    } else if (ph == "b") {
+      EXPECT_EQ(ts, request.cursor_us) << id << " " << name;
+    } else {
+      request.cursor_us = ts;
+      request.phase_sum_ms += event.find("args")->number_or("dur_ms", -1.0);
+      ++request.phases;
+    }
+  }
+  EXPECT_TRUE(open.empty());
+  EXPECT_EQ(closed, requests_seen);
+}
+
+// --- Chrome lifecycle reference ---------------------------------------------
+//
+// The reference a request's export must reproduce byte for byte: the
+// lifecycle as four events (the request plus its queue, dispatch and
+// execute phases) and the Chrome records each of them is written as — the
+// request's "b" with its args, a "b" per phase, an "e" per phase carrying
+// dur_ms, and the request's "e" after the execute phase closes.
+
+struct ReferenceEvent {
+  const char* name;  // "request", "queue", "dispatch" or "execute"
+  TimeMs start_ms;
+  TimeMs end_ms;
+};
+
+struct ReferenceLifecycle {
+  std::int64_t id;
+  int model;
+  int node;
+  cluster::ShareMode mode;
+  int batch_size;
+  int spatial;
+  int temporal;
+  TimeMs arrival_ms, submit_ms, start_ms, end_ms;
+  DurationMs solo_ms, interference_ms, cold_ms;
+
+  std::array<ReferenceEvent, 4> compose() const {
+    return {{{"request", arrival_ms, end_ms},
+             {"queue", arrival_ms, submit_ms},
+             {"dispatch", submit_ms, start_ms},
+             {"execute", start_ms, end_ms}}};
+  }
+};
+
+std::string reference_record(const ReferenceLifecycle& request, const char* ph,
+                             const char* name, TimeMs ts, const std::string& args) {
+  std::string body = "{\"ph\":\"" + std::string(ph) +
+                     "\",\"pid\":0,\"tid\":0,\"ts\":" + format_timestamp_us(ts) +
+                     ",\"cat\":\"request\",\"id\":" + std::to_string(request.id) +
+                     ",\"name\":\"" + name + "\"";
+  if (!args.empty()) body += ",\"args\":{" + args + "}";
+  return body + "}";
+}
+
+std::vector<std::string> reference_records(const ReferenceLifecycle& request) {
+  static constexpr const char* kLanes[] = {"mps", "time-shared", "cpu"};
+  std::vector<std::string> out;
+  for (const ReferenceEvent& event : request.compose()) {
+    if (std::string_view(event.name) == "request") {
+      const std::string args =
+          "\"model\":\"" +
+          json_escape(models::model_id_name(models::ModelId(request.model))) +
+          "\",\"node\":\"" +
+          json_escape(hw::node_type_name(hw::NodeType(request.node))) +
+          "\",\"lane\":\"" + kLanes[static_cast<int>(request.mode)] +
+          "\",\"batch_size\":" + std::to_string(request.batch_size) +
+          ",\"spatial\":" + std::to_string(request.spatial) +
+          ",\"temporal\":" + std::to_string(request.temporal) +
+          ",\"latency_ms\":" + format_number(event.end_ms - event.start_ms) +
+          ",\"solo_ms\":" + format_number(request.solo_ms) +
+          ",\"interference_ms\":" + format_number(request.interference_ms) +
+          ",\"cold_start_ms\":" + format_number(request.cold_ms);
+      out.push_back(reference_record(request, "b", "request", event.start_ms, args));
+      continue;
+    }
+    out.push_back(reference_record(request, "b", event.name, event.start_ms, ""));
+    out.push_back(reference_record(
+        request, "e", event.name, event.end_ms,
+        "\"dur_ms\":" + format_number(event.end_ms - event.start_ms)));
+    if (std::string_view(event.name) == "execute") {
+      out.push_back(reference_record(request, "e", "request", event.end_ms, ""));
+    }
+  }
+  return out;
+}
+
+/// The export's request records, one per line, in file order.
+std::vector<std::string> exported_request_records(const RunTrace& trace) {
+  std::ostringstream out;
+  write_chrome_trace(out, trace);
+  std::istringstream lines(out.str());
+  std::vector<std::string> records;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"cat\":\"request\"") == std::string::npos) continue;
+    if (!line.empty() && line.back() == ',') line.pop_back();
+    records.push_back(line);
+  }
+  return records;
+}
+
+TEST(TraceExport, LifecycleExportMatchesTheFourEventReference) {
+  constexpr std::uint32_t kSampleRate = 3;
+  constexpr DurationMs kSlo = 150.0;
+  std::array<DurationMs, models::kModelCount> slos{};
+  slos.fill(kSlo);
+  RunTrace trace;
+  trace.config.sample_rate = kSampleRate;
+  trace.reps.push_back(std::make_unique<Tracer>(trace.config));
+  Tracer& tracer = *trace.reps[0];
+  tracer.set_model_slos(slos);
+  const TraceSampler sampler(kSampleRate);
+
+  std::mt19937_64 rng(20260419);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto span = [&](double max_ms) {
+    // A quarter of the phases are zero-length.
+    return unit(rng) < 0.25 ? 0.0 : max_ms * unit(rng);
+  };
+  std::vector<std::string> expected;
+  std::int64_t next_id = 1;
+  std::size_t zero_phases = 0, cold = 0, requeued = 0, sampled_out = 0;
+  TimeMs now = 0.0;
+  for (int batch = 0; batch < 400; ++batch) {
+    ReferenceLifecycle shared{};
+    shared.model = static_cast<int>(rng() % models::kModelCount);
+    shared.node = static_cast<int>(rng() % hw::kNodeTypeCount);
+    shared.mode = static_cast<cluster::ShareMode>(rng() % 3);
+    const int members = 1 + static_cast<int>(rng() % 6);
+    shared.batch_size = members;
+    shared.spatial = static_cast<int>(rng() % (members + 1));
+    shared.temporal = members - shared.spatial;
+    now += 40.0 * unit(rng);
+    std::vector<cluster::Request> requests(static_cast<std::size_t>(members));
+    for (auto& request : requests) {
+      request.id = RequestId{next_id++};
+      request.model = models::ModelId(shared.model);
+      request.arrival_ms = now - span(120.0);
+      if (rng() % 6 == 0) {
+        // A failed batch sent it back once before this completion.
+        tracer.request_requeued(request.id.value, request.model,
+                                request.arrival_ms, hw::NodeType(shared.node));
+        ++requeued;
+      }
+    }
+    shared.submit_ms = now;
+    shared.cold_ms = rng() % 5 == 0 ? 50.0 + 400.0 * unit(rng) : 0.0;
+    cold += shared.cold_ms > 0.0 ? 1 : 0;
+    shared.start_ms = shared.submit_ms + shared.cold_ms + span(30.0);
+    shared.solo_ms = span(90.0);
+    shared.interference_ms = span(20.0);
+    shared.end_ms = shared.start_ms + shared.solo_ms + shared.interference_ms;
+    for (const auto& request : requests) {
+      ReferenceLifecycle lifecycle = shared;
+      lifecycle.id = request.id.value;
+      lifecycle.arrival_ms = request.arrival_ms;
+      const bool violated = lifecycle.end_ms - lifecycle.arrival_ms > kSlo;
+      if (!sampler.keep(lifecycle.id, violated)) {
+        ++sampled_out;
+        continue;
+      }
+      for (const ReferenceEvent& event : lifecycle.compose()) {
+        zero_phases += event.start_ms == event.end_ms ? 1 : 0;
+      }
+      const auto records = reference_records(lifecycle);
+      expected.insert(expected.end(), records.begin(), records.end());
+    }
+    if (members == 1) {
+      tracer.record_request_lifecycle(
+          requests[0].id.value, requests[0].model, hw::NodeType(shared.node),
+          shared.mode, members, shared.spatial, shared.temporal,
+          requests[0].arrival_ms, shared.submit_ms, shared.start_ms, shared.end_ms,
+          shared.solo_ms, shared.interference_ms, shared.cold_ms);
+    } else {
+      tracer.record_batch_lifecycles(
+          requests.data(), members, models::ModelId(shared.model),
+          hw::NodeType(shared.node), shared.mode, members, shared.spatial,
+          shared.temporal, shared.submit_ms, shared.start_ms, shared.end_ms,
+          shared.solo_ms, shared.interference_ms, shared.cold_ms);
+    }
+  }
+  // The seeds reach every case the reference distinguishes.
+  EXPECT_GT(zero_phases, 100u);
+  EXPECT_GT(cold, 20u);
+  EXPECT_GT(requeued, 50u);
+  EXPECT_GT(sampled_out, 50u);
+  EXPECT_EQ(tracer.sampled_out_total(), sampled_out);
+  EXPECT_EQ(tracer.dropped_events(), 0u);
+
+  const std::vector<std::string> exported = exported_request_records(trace);
+  ASSERT_EQ(exported.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(exported[i], expected[i]) << "record " << i;
+  }
 }
 
 TEST(TraceExport, OneDecisionPerMonitorTickConsistentWithSweep) {
@@ -134,8 +377,13 @@ TEST(TraceExport, SerialAndParallelRunsExportIdenticalBytes) {
   exp::Runner parallel(models::Zoo::instance(), hw::Catalog::instance(), &pool);
   const auto scenario = small_scenario(4);
 
+  // The timeline is on, as with --trace-out: the gauges, per-tick counter
+  // samples and monitor_tick spans must not depend on the thread count
+  // either.
   RunTrace trace_a;
   RunTrace trace_b;
+  trace_a.config.timeline = true;
+  trace_b.config.timeline = true;
   const auto result_a = serial.run(scenario, exp::SchemeId::kPaldia, trace_a);
   const auto result_b = parallel.run(scenario, exp::SchemeId::kPaldia, trace_b);
 
@@ -143,7 +391,7 @@ TEST(TraceExport, SerialAndParallelRunsExportIdenticalBytes) {
   write_chrome_trace(chrome_a, trace_a, "serial");
   write_chrome_trace(chrome_b, trace_b, "serial");  // same label on purpose
   EXPECT_EQ(chrome_a.str(), chrome_b.str());
-  EXPECT_FALSE(chrome_a.str().empty());
+  EXPECT_TRUE(has_timeline(chrome_a.str()));
 
   std::ostringstream metrics_a, metrics_b;
   MetricsWriter writer_a(metrics_a, ExportFormat::kJsonl);
@@ -164,6 +412,7 @@ TEST(TraceExport, SerialAndParallelRunsExportIdenticalBytes) {
 TEST(TraceExport, ChromeTraceIsStructurallySoundJson) {
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance());
   RunTrace trace;
+  trace.config.timeline = true;  // every record kind a Chrome trace carries
   (void)runner.run(small_scenario(1), exp::SchemeId::kPaldia, trace);
   std::ostringstream out;
   write_chrome_trace(out, trace, "sanity");
@@ -173,6 +422,7 @@ TEST(TraceExport, ChromeTraceIsStructurallySoundJson) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"request\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // batch slices
+  EXPECT_TRUE(has_timeline(json));
 
   // Balanced delimiters and no unescaped control characters. Event names
   // are identifiers, so braces/brackets never appear inside strings and a

@@ -1,12 +1,17 @@
 // Unit tests for the per-repetition Tracer: span balance and nesting, the
-// all-or-nothing lifecycle reservation against the ring cap, the counter
-// registry's deterministic sampling order, and the decision-log cap.
+// one-event lifecycle and its all-or-nothing reservation against the ring
+// cap, the counter registry's deterministic sampling order, and the
+// decision-log cap.
 #include "src/obs/tracer.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "src/common/json.hpp"
+#include "src/obs/chrome_trace.hpp"
 
 namespace paldia::obs {
 namespace {
@@ -23,58 +28,81 @@ TEST(TracerTest, LifecycleEmitsParentPlusThreePhasesSummingToE2e) {
   Tracer tracer;
   record_one_lifecycle(tracer, 7, 100.0);
   const auto& events = tracer.events();
-  ASSERT_EQ(events.size(), 4u);
+  ASSERT_EQ(events.size(), 1u);
 
-  const TraceEvent& parent = events[0];
-  EXPECT_EQ(parent.type, TraceEvent::Type::kRequest);
-  EXPECT_EQ(parent.id, 7);
-  EXPECT_EQ(parent.model, static_cast<std::int16_t>(models::ModelId::kResNet50));
-  EXPECT_EQ(parent.node, static_cast<std::int16_t>(hw::NodeType::kG3s_xlarge));
-  EXPECT_EQ(parent.batch_size, 4);
-  EXPECT_EQ(parent.spatial, 3);
-  EXPECT_EQ(parent.temporal, 1);
-  EXPECT_DOUBLE_EQ(parent.start_ms, 100.0);
-  EXPECT_DOUBLE_EQ(parent.end_ms, 195.0);
+  const TraceEvent& request = events[0];
+  EXPECT_EQ(request.type, TraceEvent::Type::kRequest);
+  EXPECT_EQ(request.id, 7);
+  EXPECT_EQ(request.model, static_cast<std::int16_t>(models::ModelId::kResNet50));
+  EXPECT_EQ(request.node, static_cast<std::int16_t>(hw::NodeType::kG3s_xlarge));
+  EXPECT_EQ(request.batch_size, 4);
+  EXPECT_EQ(request.spatial, 3);
+  EXPECT_EQ(request.temporal, 1);
+  EXPECT_DOUBLE_EQ(request.start_ms, 100.0);
+  EXPECT_DOUBLE_EQ(request.submit_ms, 102.0);
+  EXPECT_DOUBLE_EQ(request.exec_start_ms, 105.0);
+  EXPECT_DOUBLE_EQ(request.end_ms, 195.0);
+  EXPECT_DOUBLE_EQ(request.solo_ms, 85.0);
+  EXPECT_DOUBLE_EQ(request.interference_ms, 5.0);
+  EXPECT_DOUBLE_EQ(request.cold_ms, 3.0);
 
-  double phase_sum = 0.0;
-  TimeMs cursor = parent.start_ms;
-  for (std::size_t i = 1; i < 4; ++i) {
-    const TraceEvent& phase = events[i];
-    EXPECT_EQ(phase.type, TraceEvent::Type::kPhase);
-    EXPECT_EQ(phase.id, 7);
-    // Phases are contiguous: each starts where the previous ended.
-    EXPECT_DOUBLE_EQ(phase.start_ms, cursor);
-    cursor = phase.end_ms;
-    phase_sum += phase.end_ms - phase.start_ms;
+  // The export writes the parent plus three contiguous phases whose
+  // durations sum to the end-to-end latency.
+  RunTrace trace;
+  trace.reps.push_back(std::make_unique<Tracer>());
+  record_one_lifecycle(*trace.reps[0], 7, 100.0);
+  std::ostringstream out;
+  write_chrome_trace(out, trace);
+  const auto parsed = common::parse_json(out.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  std::vector<const common::JsonValue*> lifecycle;
+  for (const common::JsonValue& event : parsed.value.find("traceEvents")->as_array()) {
+    if (event.string_or("cat", "") == "request") lifecycle.push_back(&event);
   }
-  EXPECT_DOUBLE_EQ(cursor, parent.end_ms);
-  EXPECT_DOUBLE_EQ(phase_sum, parent.end_ms - parent.start_ms);
-  EXPECT_STREQ(events[1].name, "queue");
-  EXPECT_STREQ(events[2].name, "dispatch");
-  EXPECT_STREQ(events[3].name, "execute");
-  EXPECT_DOUBLE_EQ(events[2].cold_ms, 3.0);
-  EXPECT_DOUBLE_EQ(events[3].solo_ms, 85.0);
-  EXPECT_DOUBLE_EQ(events[3].interference_ms, 5.0);
+  ASSERT_EQ(lifecycle.size(), 8u);
+  const auto field = [&](std::size_t i, const char* key) {
+    return lifecycle[i]->string_or(key, "");
+  };
+  EXPECT_EQ(field(0, "ph") + field(0, "name"), "brequest");
+  EXPECT_EQ(field(7, "ph") + field(7, "name"), "erequest");
+  const double latency_ms =
+      lifecycle[0]->find("args")->number_or("latency_ms", -1.0);
+  EXPECT_DOUBLE_EQ(latency_ms, 95.0);
+  double cursor_us = lifecycle[0]->number_or("ts", -1.0);
+  double phase_sum_ms = 0.0;
+  const char* phases[] = {"queue", "dispatch", "execute"};
+  for (std::size_t p = 0; p < 3; ++p) {
+    const std::size_t b = 1 + 2 * p;
+    EXPECT_EQ(field(b, "ph") + field(b, "name"), std::string("b") + phases[p]);
+    EXPECT_EQ(field(b + 1, "ph") + field(b + 1, "name"), std::string("e") + phases[p]);
+    // Contiguous: each phase opens where the previous one closed.
+    EXPECT_EQ(lifecycle[b]->number_or("ts", -1.0), cursor_us) << phases[p];
+    cursor_us = lifecycle[b + 1]->number_or("ts", -1.0);
+    phase_sum_ms += lifecycle[b + 1]->find("args")->number_or("dur_ms", -1.0);
+  }
+  EXPECT_EQ(cursor_us, lifecycle[7]->number_or("ts", -2.0));
+  EXPECT_DOUBLE_EQ(phase_sum_ms, latency_ms);
 }
 
 TEST(TracerTest, RingOverflowDropsWholeLifecycles) {
   TracerConfig config;
-  config.event_capacity = 10;  // room for 2 lifecycles (4 events each) + 2
+  config.event_capacity = 10;  // room for 2 lifecycles (4 units each) + 2
   Tracer tracer(config);
   for (int i = 0; i < 5; ++i) {
     record_one_lifecycle(tracer, i, 100.0 * i);
   }
-  // 2 lifecycles fit; the 3rd would need 4 slots but only 2 remain, so it
-  // (and every later one) is dropped whole — never a partial lifecycle.
-  EXPECT_EQ(tracer.events().size(), 8u);
+  // 2 lifecycles fit; the 3rd would need 4 units but only 2 remain, so it
+  // (and every later one) is dropped whole, counting its 4 exported events.
+  EXPECT_EQ(tracer.events().size(), 2u);
   EXPECT_EQ(tracer.dropped_events(), 12u);
-  EXPECT_EQ(tracer.events().back().type, TraceEvent::Type::kPhase);
-  // The two slots left over stay usable for single-event records.
+  EXPECT_EQ(tracer.events().back().type, TraceEvent::Type::kRequest);
+  EXPECT_EQ(tracer.events().back().id, 1);
+  // The two units left over stay usable for single-event records.
   tracer.instant("switch_begin", 1000.0, 1.0);
   tracer.instant("switch_active", 1001.0, 1.0);
-  EXPECT_EQ(tracer.events().size(), 10u);
+  EXPECT_EQ(tracer.events().size(), 4u);
   tracer.instant("one_too_many", 1002.0, 1.0);
-  EXPECT_EQ(tracer.events().size(), 10u);
+  EXPECT_EQ(tracer.events().size(), 4u);
   EXPECT_EQ(tracer.dropped_events(), 13u);
 }
 
@@ -117,8 +145,8 @@ TEST(TracerTest, CountersAccumulateAndSampleInNameOrder) {
   ASSERT_EQ(tracer.events().size(), 2u);
   // std::map keeps samples in lexicographic name order — deterministic
   // regardless of first-touch order.
-  EXPECT_STREQ(tracer.events()[0].counter_name, "arrivals");
-  EXPECT_STREQ(tracer.events()[1].counter_name, "requeues");
+  EXPECT_STREQ(tracer.events()[0].name, "arrivals");
+  EXPECT_STREQ(tracer.events()[1].name, "requeues");
   EXPECT_DOUBLE_EQ(tracer.events()[0].value, 7.0);
   EXPECT_DOUBLE_EQ(tracer.events()[0].start_ms, 500.0);
 }
@@ -167,8 +195,8 @@ TEST(TracerTest, EndDecisionWithoutBeginIsNoOp) {
 }
 
 TEST(TracerTest, BatchLifecyclesMatchPerRequestLoop) {
-  // The bulk batch-completion path must emit byte-identical events to
-  // calling record_request_lifecycle once per member request.
+  // The batch-completion path must store exactly the events of calling
+  // record_request_lifecycle once per member request.
   std::vector<cluster::Request> requests;
   for (int i = 0; i < 5; ++i) {
     cluster::Request request;
@@ -193,9 +221,9 @@ TEST(TracerTest, BatchLifecyclesMatchPerRequestLoop) {
                                   request.arrival_ms, 60.0, 65.0, 160.0, 85.0,
                                   10.0, 3.0);
   }
-  ASSERT_EQ(bulk.events().size(), 20u);
-  ASSERT_EQ(loop.events().size(), 20u);
-  for (std::size_t i = 0; i < 20; ++i) {
+  ASSERT_EQ(bulk.events().size(), 5u);
+  ASSERT_EQ(loop.events().size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
     const TraceEvent& a = bulk.events()[i];
     const TraceEvent& b = loop.events()[i];
     EXPECT_EQ(a.type, b.type) << i;
@@ -208,42 +236,14 @@ TEST(TracerTest, BatchLifecyclesMatchPerRequestLoop) {
     EXPECT_EQ(a.temporal, b.temporal) << i;
     EXPECT_STREQ(a.name, b.name) << i;
     EXPECT_DOUBLE_EQ(a.start_ms, b.start_ms) << i;
+    EXPECT_DOUBLE_EQ(a.submit_ms, b.submit_ms) << i;
+    EXPECT_DOUBLE_EQ(a.exec_start_ms, b.exec_start_ms) << i;
     EXPECT_DOUBLE_EQ(a.end_ms, b.end_ms) << i;
     EXPECT_DOUBLE_EQ(a.solo_ms, b.solo_ms) << i;
     EXPECT_DOUBLE_EQ(a.interference_ms, b.interference_ms) << i;
     EXPECT_DOUBLE_EQ(a.cold_ms, b.cold_ms) << i;
   }
   EXPECT_EQ(bulk.dropped_events(), loop.dropped_events());
-}
-
-TEST(TracerTest, AppendBatchKeepsGroupsAtomicAtCapacity) {
-  TracerConfig config;
-  config.event_capacity = 10;
-  Tracer tracer(config);
-  std::vector<TraceEvent> events(12);  // 3 groups of 4
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    events[i].id = static_cast<std::int64_t>(i);
-  }
-  // Only 2 whole groups (8 events) fit atomically in 10 slots.
-  EXPECT_EQ(tracer.append_batch(events, 4), 8u);
-  EXPECT_EQ(tracer.events().size(), 8u);
-  EXPECT_EQ(tracer.dropped_events(), 4u);
-  EXPECT_EQ(tracer.events().back().id, 7);
-  // The 2 leftover slots still take ungrouped events one by one.
-  std::vector<TraceEvent> singles(3);
-  EXPECT_EQ(tracer.append_batch(singles, 1), 2u);
-  EXPECT_EQ(tracer.events().size(), 10u);
-  EXPECT_EQ(tracer.dropped_events(), 5u);
-  // Full buffer: everything is dropped, nothing stored.
-  EXPECT_EQ(tracer.append_batch(events, 4), 0u);
-  EXPECT_EQ(tracer.dropped_events(), 17u);
-}
-
-TEST(TracerTest, AppendBatchEmptyIsNoop) {
-  Tracer tracer;
-  EXPECT_EQ(tracer.append_batch({}, 4), 0u);
-  EXPECT_TRUE(tracer.events().empty());
-  EXPECT_EQ(tracer.dropped_events(), 0u);
 }
 
 TEST(TracerTest, BulkDropCountMatchesPerRequestAtOverflow) {
@@ -258,7 +258,7 @@ TEST(TracerTest, BulkDropCountMatchesPerRequestAtOverflow) {
     requests.push_back(request);
   }
   TracerConfig config;
-  config.event_capacity = 10;  // room for 2 whole lifecycles + 2 slots
+  config.event_capacity = 10;  // room for 2 whole lifecycles + 2 units
   Tracer bulk(config);
   bulk.record_batch_lifecycles(requests.data(), 4, models::ModelId::kResNet50,
                                hw::NodeType::kG3s_xlarge,
@@ -274,21 +274,22 @@ TEST(TracerTest, BulkDropCountMatchesPerRequestAtOverflow) {
   }
   EXPECT_EQ(bulk.events().size(), loop.events().size());
   EXPECT_EQ(bulk.dropped_events(), loop.dropped_events());
-  ASSERT_EQ(bulk.events().size(), 8u);
-  EXPECT_EQ(bulk.events()[4].id, loop.events()[4].id);
+  ASSERT_EQ(bulk.events().size(), 2u);
+  EXPECT_EQ(bulk.dropped_events(), 8u);  // two lifecycles of 4 exported events
+  EXPECT_EQ(bulk.events()[1].id, loop.events()[1].id);
 }
 
 TEST(TracerTest, RunTraceAggregatesDrops) {
   RunTrace trace;
-  trace.config.event_capacity = 4;
+  trace.config.event_capacity = 4;  // one lifecycle per tracer
   trace.reps.push_back(std::make_unique<Tracer>(trace.config));
   trace.reps.push_back(std::make_unique<Tracer>(trace.config));
   record_one_lifecycle(*trace.reps[0], 1, 0.0);
   record_one_lifecycle(*trace.reps[0], 2, 100.0);  // dropped: buffer full
   record_one_lifecycle(*trace.reps[1], 3, 0.0);
   EXPECT_EQ(trace.dropped_events(), 4u);
-  EXPECT_EQ(trace.reps[0]->events().size(), 4u);
-  EXPECT_EQ(trace.reps[1]->events().size(), 4u);
+  EXPECT_EQ(trace.reps[0]->events().size(), 1u);
+  EXPECT_EQ(trace.reps[1]->events().size(), 1u);
 }
 
 }  // namespace
