@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
       table.add_row({Table::num(band, 0),
                      Table::percent(
                          framework->slo(local.workloads[0].model).compliance()),
-                     bench::dollars(cluster.total_cost())});
+                     Table::dollars(cluster.total_cost())});
     }
     table.print(std::cout);
   }

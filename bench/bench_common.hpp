@@ -420,7 +420,6 @@ inline std::vector<telemetry::RunMetrics> run_schemes(
 }
 
 inline std::string ms(double value) { return Table::num(value, 1) + " ms"; }
-inline std::string dollars(double value) { return "$" + Table::num(value, 4); }
 
 /// Dominant violation cause of a metrics row ("-" when compliant), for the
 /// drivers' per-scheme attribution columns.

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
                      bench::ms(metrics.p99_latency_ms), bench::ms(breakdown.solo_ms),
                      bench::ms(breakdown.queue_ms),
                      bench::ms(breakdown.interference_ms),
-                     bench::dollars(metrics.cost)});
+                     Table::dollars(metrics.cost)});
     }
     table.print(std::cout);
     std::cout << "\n";

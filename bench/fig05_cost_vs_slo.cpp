@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
     Table table({"Scheme", "Cost", "Normalized cost", "SLO compliance"});
     for (const auto& row : rows) {
-      table.add_row({row.scheme, bench::dollars(row.cost),
+      table.add_row({row.scheme, Table::dollars(row.cost),
                      Table::num(row.cost / max_cost, 3),
                      Table::percent(row.slo_compliance)});
     }

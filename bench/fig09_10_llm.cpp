@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < schemes.size(); ++s) {
       const auto metrics = observer.run(runner, scenario, schemes[s]).combined;
       slo_row.push_back(Table::percent(metrics.slo_compliance));
-      cost_row.push_back(bench::dollars(metrics.cost));
+      cost_row.push_back(Table::dollars(metrics.cost));
       slo_sums[s] += metrics.slo_compliance;
       cost_sums[s] += metrics.cost;
     }
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> slo_avg = {"AVERAGE"}, cost_avg = {"AVERAGE"};
   for (std::size_t s = 0; s < schemes.size(); ++s) {
     slo_avg.push_back(Table::percent(slo_sums[s] / llms.size()));
-    cost_avg.push_back(bench::dollars(cost_sums[s] / llms.size()));
+    cost_avg.push_back(Table::dollars(cost_sums[s] / llms.size()));
   }
   slo_table.add_row(std::move(slo_avg));
   cost_table.add_row(std::move(cost_avg));

@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
     const auto oracle =
         observer.run(runner, scenario, exp::SchemeId::kOracle).combined;
     table.add_row({std::string(models::model_id_name(model)), paldia.scheme,
-                   Table::percent(paldia.slo_compliance), bench::dollars(paldia.cost),
+                   Table::percent(paldia.slo_compliance), Table::dollars(paldia.cost),
                    "-", "-"});
     table.add_row({"", oracle.scheme, Table::percent(oracle.slo_compliance),
-                   bench::dollars(oracle.cost),
+                   Table::dollars(oracle.cost),
                    Table::percent(oracle.slo_compliance - paldia.slo_compliance),
                    Table::percent(paldia.cost > 0
                                       ? (oracle.cost - paldia.cost) / paldia.cost

@@ -28,7 +28,7 @@ void run_block(const exp::Runner& runner, exp::Scenario& scenario,
   for (const auto& row : rows) max_cost = std::max(max_cost, row.cost);
   for (const auto& row : rows) {
     table.add_row({row.scheme, Table::percent(row.slo_compliance),
-                   bench::ms(row.p99_latency_ms), bench::dollars(row.cost),
+                   bench::ms(row.p99_latency_ms), Table::dollars(row.cost),
                    Table::num(row.cost / max_cost, 3)});
   }
   table.print(std::cout);

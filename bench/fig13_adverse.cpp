@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       const auto result = observer.run(runner, scenario, scheme);
       const auto& metrics = result.combined;
       table.add_row({metrics.scheme, Table::percent(metrics.slo_compliance),
-                     bench::ms(metrics.p99_latency_ms), bench::dollars(metrics.cost),
+                     bench::ms(metrics.p99_latency_ms), Table::dollars(metrics.cost),
                      Table::num(metrics.slo_violations, 1),
                      bench::top_violation_cause(metrics)});
       if (scheme == exp::SchemeId::kPaldia) paldia_result = result;
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       const auto result = observer.run(runner, scenario, scheme);
       const auto& metrics = result.combined;
       table.add_row({metrics.scheme, Table::percent(metrics.slo_compliance),
-                     bench::ms(metrics.p99_latency_ms), bench::dollars(metrics.cost),
+                     bench::ms(metrics.p99_latency_ms), Table::dollars(metrics.cost),
                      Table::num(metrics.slo_violations, 1),
                      bench::top_violation_cause(metrics)});
       if (scheme == exp::SchemeId::kPaldia) paldia_result = result;

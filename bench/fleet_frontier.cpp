@@ -1,11 +1,6 @@
 // Fleet-scale hardware selection driver: a generated device catalog
 // (--catalog=gen:N) driven by 100+ endpoints of random-walk demand, with a
 // fig. 5-style cost-vs-SLO frontier swept over the selection headroom.
-//
-// Also the fleet-scale equivalence check of the pruned Algorithm 1 walk:
-// before the frontier runs, the pruned walk and the exhaustive linear
-// reference scan are executed over the same schedule and their choice
-// digests compared — any divergence is a hard failure (exit 1).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -90,38 +85,6 @@ int main(int argc, char** argv) {
   config.ticks = options.ticks;
   config.seed = options.seed;
   const auto schedule = exp::build_sweep_schedule(config, zoo);
-
-  // Equivalence self-check: the pruned and linear modes must choose
-  // identically, bit for bit, over the whole fleet.
-  {
-    exp::SelectionSweepConfig pruned = config, linear = config;
-    pruned.prune = true;
-    linear.prune = false;
-    const auto a =
-        exp::run_selection_sweep(pruned, schedule, zoo, catalog, profile);
-    const auto b =
-        exp::run_selection_sweep(linear, schedule, zoo, catalog, profile);
-    if (a.choice_digest != b.choice_digest) {
-      std::fprintf(stderr,
-                   "FAIL: pruned (%016llx) and linear (%016llx) choice "
-                   "digests diverge\n",
-                   static_cast<unsigned long long>(a.choice_digest),
-                   static_cast<unsigned long long>(b.choice_digest));
-      return 1;
-    }
-    const double saved =
-        a.pool_candidates > 0
-            ? 100.0 * (1.0 - static_cast<double>(a.evaluated) /
-                                 static_cast<double>(a.pool_candidates))
-            : 0.0;
-    std::printf("self-check: pruned == linear over %lld choices "
-                "(digest %016llx)\n",
-                a.choices, static_cast<unsigned long long>(a.choice_digest));
-    std::printf("sweep work: %lld of %lld pool candidates evaluated "
-                "(%.1f%% pruned); %.1f vs %.1f us/choose\n\n",
-                a.evaluated, a.pool_candidates, saved, a.micros_per_choice,
-                b.micros_per_choice);
-  }
 
   // Cost-vs-SLO frontier: sweep the feasibility headroom. Lower headroom
   // accepts nodes closer to the raw SLO (cheaper, riskier); higher headroom

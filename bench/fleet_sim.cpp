@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
                  Table::percent(fleet_row.slo_compliance),
                  bench::ms(fleet_row.p50_latency_ms),
                  bench::ms(fleet_row.p99_latency_ms),
-                 bench::dollars(fleet_row.cost),
+                 Table::dollars(fleet_row.cost),
                  Table::num(fleet_row.average_power, 1) + " W"});
   table.print(std::cout);
 

@@ -15,7 +15,6 @@
 #include "src/core/fleet.hpp"
 #include "src/core/gateway.hpp"
 #include "src/core/hardware_selection.hpp"
-#include "src/hw/catalog_gen.hpp"
 #include "src/models/profile.hpp"
 #include "src/models/zoo.hpp"
 #include "src/obs/attribution.hpp"
@@ -69,46 +68,6 @@ void BM_HardwareSelectionChoose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HardwareSelectionChoose)->Arg(10)->Arg(200)->Arg(700);
-
-// Algorithm 1 on a fleet-scale generated catalog (64 node types): the pruned
-// candidate walk versus the exhaustive linear reference. Same rotating
-// demand points, same catalog, no T_max cache — the benchmark measures raw
-// sweep work, which is exactly what pruning saves. perf_baseline.py tracks
-// the pruned/linear ratio (target >= 3x) via BENCH_perf.json.
-void SelectionSweepLargeCatalog(benchmark::State& state, bool prune) {
-  static const hw::Catalog catalog =
-      hw::generate_catalog({.node_count = 64, .seed = 7});
-  static const models::ProfileTable profile(catalog);
-  perfmodel::YOptimizer optimizer(perfmodel::TmaxModel(0.2));
-  core::HardwareSelectionConfig config;
-  config.prune = prune;
-  core::HardwareSelection selection(models::Zoo::instance(), catalog, profile,
-                                    optimizer, config);
-  std::vector<std::vector<core::DemandSnapshot>> demands;
-  for (int i = 0; i < 32; ++i) {
-    core::DemandSnapshot demand;
-    demand.model = static_cast<models::ModelId>(i % models::kModelCount);
-    demand.observed_rps = demand.predicted_rps = demand.smoothed_rps =
-        5.0 * (1 + (i * 7) % 40);
-    demand.backlog = (i * 13) % 32;
-    demands.push_back({demand});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(selection.choose(demands[i++ % demands.size()]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_SelectionSweepLargeCatalog(benchmark::State& state) {
-  SelectionSweepLargeCatalog(state, /*prune=*/true);
-}
-BENCHMARK(BM_SelectionSweepLargeCatalog);
-
-void BM_SelectionSweepLinearLargeCatalog(benchmark::State& state) {
-  SelectionSweepLargeCatalog(state, /*prune=*/false);
-}
-BENCHMARK(BM_SelectionSweepLinearLargeCatalog);
 
 void BM_EventQueueChurn(benchmark::State& state) {
   for (auto _ : state) {
@@ -498,40 +457,6 @@ void BM_GatewayTakeChunk(benchmark::State& state) {
   state.SetLabel("inject+take+chunk round");
 }
 BENCHMARK(BM_GatewayTakeChunk);
-
-void BM_TracerBulkAppend(benchmark::State& state) {
-  // Per-batch lifecycle recording: one completed 32-request batch, one
-  // event per request (each costs Tracer::kLifecycleUnits of capacity).
-  obs::TracerConfig config;
-  config.event_capacity = 1 << 22;
-  auto tracer = std::make_unique<obs::Tracer>(config);
-  constexpr int kBatch = 32;
-  std::vector<cluster::Request> requests(kBatch);
-  std::int64_t id = 0;
-  double t = 0.0;
-  for (auto _ : state) {
-    if ((tracer->events().size() + kBatch) * obs::Tracer::kLifecycleUnits >
-        config.event_capacity) {
-      state.PauseTiming();
-      tracer = std::make_unique<obs::Tracer>(config);
-      state.ResumeTiming();
-    }
-    t += 1.0;
-    for (int i = 0; i < kBatch; ++i) {
-      requests[static_cast<std::size_t>(i)].id = RequestId{id++};
-      requests[static_cast<std::size_t>(i)].model = models::ModelId::kResNet50;
-      requests[static_cast<std::size_t>(i)].arrival_ms = t;
-    }
-    tracer->record_batch_lifecycles(requests.data(), kBatch,
-                                    models::ModelId::kResNet50,
-                                    hw::NodeType::kG3s_xlarge,
-                                    cluster::ShareMode::kSpatial, kBatch, 24, 8,
-                                    t + 3.0, t + 5.0, t + 95.0, 88.0, 2.0, 0.0);
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-  state.SetLabel("batched lifecycle append");
-}
-BENCHMARK(BM_TracerBulkAppend);
 
 void BM_TracerRecordLifecycle(benchmark::State& state) {
   // Enabled-path cost of the heaviest record: one event per request, drawn

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     table.add_row({metrics.scheme, Table::percent(metrics.slo_compliance),
                    Table::num(metrics.p99_latency_ms, 1) + " ms",
                    Table::num(metrics.mean_latency_ms, 1) + " ms",
-                   "$" + Table::num(metrics.cost, 4),
+                   Table::dollars(metrics.cost),
                    Table::num(metrics.average_power, 0) + " W",
                    Table::percent(metrics.gpu_utilization),
                    Table::percent(goodput_fraction)});

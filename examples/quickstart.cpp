@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     table.add_row({m.scheme, Table::percent(m.slo_compliance),
                    Table::num(m.p99_latency_ms, 1) + " ms",
                    Table::num(m.mean_latency_ms, 1) + " ms",
-                   "$" + Table::num(m.cost, 4)});
+                   Table::dollars(m.cost)});
   }
   std::cout << "ResNet 50, Azure trace (" << scenario.workloads[0].trace.mean_rps()
             << " rps mean, " << scenario.workloads[0].trace.peak_rps()

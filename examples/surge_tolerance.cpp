@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
          Table::percent(metrics.offered_rps > 0
                             ? metrics.goodput_rps / metrics.offered_rps
                             : 1.0),
-         "$" + Table::num(metrics.cost, 4)});
+         Table::dollars(metrics.cost)});
   }
   table.print(std::cout);
   return 0;

@@ -78,7 +78,6 @@ class GpuDevice {
   void fail_all();
 
   int active_spatial_jobs() const { return static_cast<int>(spatial_.size()); }
-  int queued_serial_jobs() const { return static_cast<int>(serial_queue_.size()); }
   bool busy() const { return !spatial_.empty() || serial_running_ != nullptr; }
 
   /// Total bandwidth demand of everything resident right now.

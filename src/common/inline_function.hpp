@@ -34,6 +34,10 @@ class InlineFunction<R(Args...), InlineBytes> {
   InlineFunction(F&& fn) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
     if constexpr (fits_inline<Fn>) {
+      // An empty callable (a captureless lambda) writes no byte of the
+      // buffer. Write one, so that GCC does not report move_from's blit as
+      // a copy of uninitialized storage; other callables pay nothing.
+      if constexpr (std::is_empty_v<Fn>) storage_[0] = 0;
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       vtable_ = &inline_vtable<Fn>;
     } else {

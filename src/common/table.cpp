@@ -25,6 +25,12 @@ std::string Table::percent(double fraction, int precision) {
   return buf;
 }
 
+std::string Table::dollars(double value) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "$%.4f", value);
+  return buf;
+}
+
 void Table::print(std::ostream& out) const {
   std::vector<std::size_t> widths(columns_.size());
   for (std::size_t c = 0; c < columns_.size(); ++c) widths[c] = columns_[c].size();

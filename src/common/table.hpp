@@ -17,6 +17,7 @@ class Table {
   /// Convenience: format doubles with the given precision.
   static std::string num(double value, int precision = 2);
   static std::string percent(double fraction, int precision = 2);
+  static std::string dollars(double value);  // "$" and 4 decimals
 
   void print(std::ostream& out) const;
 

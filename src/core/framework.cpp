@@ -615,8 +615,7 @@ void Framework::finish_run(TimeMs end) {
       workload.slo->record_violation_cause(telemetry::ViolationCause::kUnserved);
     }
     if (attribution_ != nullptr && leftover > 0) {
-      attribution_->record_unserved(static_cast<int>(workload.model),
-                                    static_cast<std::uint64_t>(leftover));
+      attribution_->record_unserved(static_cast<std::uint64_t>(leftover));
     }
     if (rollup_ != nullptr && leftover > 0) {
       rollup_->observe_unserved(end, static_cast<int>(workload.model),

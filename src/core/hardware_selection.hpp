@@ -10,11 +10,9 @@
 // Paldia and the Oracle share one Eq. 1 sweep and one planner.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "src/core/scheduler_policy.hpp"
-#include "src/core/selection_index.hpp"
 #include "src/hw/catalog.hpp"
 #include "src/models/profile.hpp"
 #include "src/models/zoo.hpp"
@@ -30,12 +28,6 @@ struct HardwareSelectionConfig {
   /// Headroom factor on the SLO when judging feasibility (leaves room for
   /// batching delay and model error).
   double slo_headroom = 0.85;
-  /// Pruned candidate enumeration (capability bitmasks, twin-dominance
-  /// dedup, T_max lower bounds, cost-bucket early exit). false is the
-  /// reference the equivalence tests and fleet_frontier's self-check
-  /// compare against: Algorithm 1's exhaustive linear scan. Both settings
-  /// return identical choices; this only changes how much sweep work runs.
-  bool prune = true;
 };
 
 struct HardwareChoice {
@@ -48,20 +40,15 @@ struct HardwareChoice {
 /// Optional record of one choose() call: the full candidate sweep plus the
 /// choose_best_HW inputs, for the observability decision log.
 struct SelectionSweep {
-  std::vector<HardwareChoice> candidates;  // capable pool, cost-ascending
+  /// The capable pool, cost-ascending; an escalation to the most performant
+  /// GPU from outside the pool is appended last.
+  std::vector<HardwareChoice> candidates;
   DurationMs band_ms = 0.0;                // clamped performance band
-  /// Best feasible GPU T_max (the band anchor); 0 when none was feasible.
+  /// Best feasible GPU T_max (the band anchor); 0 when none was feasible or
+  /// a feasible CPU won first.
   DurationMs best_feasible_gpu_t_max_ms = 0.0;
   bool cpu_short_circuit = false;  // a feasible CPU node won outright
-  /// Sweep-work accounting. The pruned walk touches `evaluated` of the
-  /// `pool_size` capable candidates and proves the other `pruned` away
-  /// (twin dedup, lower-bound skips, early exit); both counts are computed
-  /// by replaying the pruned walk over the recorded candidates, so they do
-  /// not depend on the prune setting. Escalations outside the pool count as
-  /// evaluated.
-  int pool_size = 0;
-  int evaluated = 0;
-  int pruned = 0;
+  int pool_size = 0;               // capable candidates evaluated
 };
 
 class HardwareSelection {
@@ -76,15 +63,14 @@ class HardwareSelection {
   HardwareChoice evaluate(hw::NodeType node,
                           const std::vector<DemandSnapshot>& demand) const;
 
-  /// Full Algorithm 1 selection (pool, choose_best_HW). When no node is
+  /// Full Algorithm 1 selection (pool, choose_best_HW): every pool member
+  /// is evaluated, cheapest first; the first feasible CPU wins, else the
+  /// cheapest feasible GPU within the band of the best. When no node is
   /// feasible the most performant GPU is returned (the escalation path of
   /// Section III); on a CPU-only catalog the least-bad CPU is returned
   /// instead of aborting. When `sweep` is non-null it receives the whole
-  /// candidate evaluation (observability decision log): every pool member
-  /// is evaluated, cheapest first, and the pruned walk is replayed over the
-  /// results for the work counts (and, when pruning is on, the returned
-  /// choice). With `sweep == nullptr` and pruning on, the walk evaluates
-  /// candidates lazily — the fleet-scale fast path.
+  /// candidate evaluation (observability decision log); recording changes
+  /// no work and no choice.
   HardwareChoice choose(const std::vector<DemandSnapshot>& demand,
                         SelectionSweep* sweep = nullptr) const;
 
@@ -107,38 +93,12 @@ class HardwareSelection {
   /// bit-identical.
   void set_tmax_cache(perfmodel::TmaxCache* cache) { cache_ = cache; }
 
-  /// Analytic lower bound on evaluate(node).t_max_ms for a GPU node (two
-  /// profile reads per model, no y-sweep). Sets *provably_infeasible when
-  /// the bound alone already exceeds some model's headroomed SLO. Exposed
-  /// for the equivalence tests.
-  DurationMs gpu_t_max_lower_bound(hw::NodeType node,
-                                   const std::vector<DemandSnapshot>& demand,
-                                   bool* provably_infeasible) const;
-
-  const SelectionIndex& index() const { return index_; }
-
  private:
   /// best_split through the cache when one is attached.
   perfmodel::SharingDecision sweep(models::ModelId model, hw::NodeType node,
                                    const perfmodel::WorkloadPoint& point) const;
 
-  /// One pruned Algorithm 1 walk over the pool; see the .cpp for the
-  /// exactness argument. `eval` maps a pool position to its evaluation
-  /// (lazily computed or replayed from a recorded sweep).
-  struct WalkOutcome {
-    HardwareChoice choice;
-    int evaluated = 0;               // distinct pool entries evaluated
-    bool cpu_short_circuit = false;
-    DurationMs best_feasible_gpu_t_max_ms = 0.0;  // 0 when none feasible
-    bool escalated_outside_pool = false;  // caller must evaluate the top GPU
-  };
-  template <typename Evaluator>
-  WalkOutcome pruned_walk(const std::vector<DemandSnapshot>& demand,
-                          const std::vector<hw::NodeType>& pool,
-                          Evaluator&& eval) const;
-
-  std::vector<hw::NodeType> build_pool(const std::vector<DemandSnapshot>& demand,
-                                       bool use_masks) const;
+  std::vector<hw::NodeType> build_pool(const std::vector<DemandSnapshot>& demand) const;
 
   const models::Zoo* zoo_;
   const hw::Catalog* catalog_;
@@ -146,7 +106,6 @@ class HardwareSelection {
   const perfmodel::YOptimizer* optimizer_;
   perfmodel::TmaxCache* cache_ = nullptr;
   HardwareSelectionConfig config_;
-  SelectionIndex index_;
 };
 
 }  // namespace paldia::core

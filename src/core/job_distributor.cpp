@@ -89,10 +89,12 @@ void JobDistributor::submit_batch(cluster::Node& node, cluster::Batch batch,
                             report.start_ms, report.end_ms, report.solo_ms,
                             report.cold_start_ms);
       const DurationMs interference = std::max(0.0, report.interference_ms());
-      tracer_->record_batch_lifecycles(
-          batch.requests.data(), batch.size(), batch.model, node_type, mode,
-          batch.size(), spatial, temporal, report.submit_ms, report.start_ms,
-          report.end_ms, report.solo_ms, interference, report.cold_start_ms);
+      for (const auto& request : batch.requests) {
+        tracer_->record_request_lifecycle(
+            request.id.value, batch.model, node_type, mode, batch.size(), spatial,
+            temporal, request.arrival_ms, report.submit_ms, report.start_ms,
+            report.end_ms, report.solo_ms, interference, report.cold_start_ms);
+      }
       if (report.cold_start_ms > 0.0) tracer_->count("cold_start_batches");
     }
     for (const auto& request : batch.requests) {

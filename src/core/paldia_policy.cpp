@@ -35,14 +35,10 @@ hw::NodeType PaldiaPolicy::select_hardware(const std::vector<DemandSnapshot>& de
   // The framework opened the tick's decision record before calling us.
   obs::DecisionRecord* rec =
       tracer() != nullptr ? tracer()->current_decision() : nullptr;
+  // Recording the sweep changes no work, so only an open record asks for it.
   SelectionSweep sweep;
-  // Collect the sweep whenever a tracer observes the run — not just while a
-  // decision record is open — so an observed run evaluates the full pool on
-  // every tick and the TmaxCache counters in the sampled metrics stream do
-  // not depend on when the decision log fills up.
-  const bool observed = tracer() != nullptr;
   const HardwareChoice choice =
-      selection_.choose(demand, observed ? &sweep : nullptr);
+      selection_.choose(demand, rec != nullptr ? &sweep : nullptr);
   const hw::NodeType decided = apply_hysteresis(choice, current, demand);
   // The monitor tick samples counters right after this call; flushing here
   // folds the interval's dispatch-round sweeps into the same sample.
@@ -56,8 +52,6 @@ hw::NodeType PaldiaPolicy::select_hardware(const std::vector<DemandSnapshot>& de
     rec->best_t_max_ms = sweep.best_feasible_gpu_t_max_ms;
     rec->cpu_short_circuit = sweep.cpu_short_circuit;
     rec->pool_size = sweep.pool_size;
-    rec->evaluated_candidates = sweep.evaluated;
-    rec->pruned_candidates = sweep.pruned;
     rec->wait_ctr = wait_ctr_;  // counter state *after* the decision
     rec->downgrade_ctr = downgrade_ctr_;
     rec->emergency_ctr = emergency_ctr_;

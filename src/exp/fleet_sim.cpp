@@ -51,42 +51,7 @@ FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
 
   // Per-endpoint observation slots, endpoint order (mirrors Runner::run's
   // per-repetition slots — exporters walk them in slot order).
-  if (trace != nullptr) {
-    trace->config.sample_rate = options_.sample_rate;
-    trace->health_config.slo_target = options_.slo_target;
-    trace->health_config.fast_window_ms = options_.burn_fast_ms;
-    trace->health_config.slow_window_ms = options_.burn_slow_ms;
-    trace->reps.clear();
-    trace->rollups.clear();
-    trace->profiles.clear();
-    trace->healths.clear();
-    if (trace->capture_events) {
-      trace->reps.reserve(slots);
-      for (std::size_t e = 0; e < slots; ++e) {
-        trace->reps.push_back(std::make_unique<obs::Tracer>(trace->config));
-      }
-    }
-    if (trace->collect_rollups) {
-      trace->rollups.reserve(slots);
-      for (std::size_t e = 0; e < slots; ++e) {
-        trace->rollups.push_back(
-            std::make_unique<obs::RollupAggregator>(trace->rollup_config));
-      }
-    }
-    if (trace->profile) {
-      trace->profiles.reserve(slots);
-      for (std::size_t e = 0; e < slots; ++e) {
-        trace->profiles.push_back(std::make_unique<obs::Profiler>());
-      }
-    }
-    if (trace->collect_health) {
-      trace->healths.reserve(slots);
-      for (std::size_t e = 0; e < slots; ++e) {
-        trace->healths.push_back(
-            std::make_unique<obs::HealthEngine>(trace->health_config));
-      }
-    }
-  }
+  if (trace != nullptr) allocate_trace_slots(*trace, options_, slots);
 
   // Per-endpoint attribution + calibration engines (the calibration only
   // fills when the endpoint has a tracer with decision sweeps, and the

@@ -256,43 +256,7 @@ RunResult Runner::run(const Scenario& scenario, SchemeId scheme, obs::RunTrace& 
   // Observation slots are allocated up front, one per repetition, so
   // concurrent repetitions never share state and exporters can walk the
   // slots in repetition order regardless of which thread filled them.
-  trace.config.sample_rate = factory_.options().sample_rate;
-  // The health detectors take their SLO budget and burn windows from the
-  // factory options (the --slo-target / --burn-windows flags are the single
-  // knobs); the remaining HealthConfig fields keep the trace's values.
-  trace.health_config.slo_target = factory_.options().slo_target;
-  trace.health_config.fast_window_ms = factory_.options().burn_fast_ms;
-  trace.health_config.slow_window_ms = factory_.options().burn_slow_ms;
-  trace.reps.clear();
-  trace.rollups.clear();
-  trace.profiles.clear();
-  trace.healths.clear();
-  if (trace.capture_events) {
-    trace.reps.reserve(reps);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      trace.reps.push_back(std::make_unique<obs::Tracer>(trace.config));
-    }
-  }
-  if (trace.collect_rollups) {
-    trace.rollups.reserve(reps);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      trace.rollups.push_back(
-          std::make_unique<obs::RollupAggregator>(trace.rollup_config));
-    }
-  }
-  if (trace.profile) {
-    trace.profiles.reserve(reps);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      trace.profiles.push_back(std::make_unique<obs::Profiler>());
-    }
-  }
-  if (trace.collect_health) {
-    trace.healths.reserve(reps);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      trace.healths.push_back(
-          std::make_unique<obs::HealthEngine>(trace.health_config));
-    }
-  }
+  allocate_trace_slots(trace, factory_.options(), reps);
   auto run_rep = [&](std::size_t rep) {
     const std::uint64_t seed =
         scenario.base_seed + 0x9e3779b9ull * static_cast<std::uint64_t>(rep + 1) +
@@ -310,6 +274,32 @@ RunResult Runner::run(const Scenario& scenario, SchemeId scheme, obs::RunTrace& 
     for (std::size_t rep = 0; rep < repetitions.size(); ++rep) run_rep(rep);
   }
   return aggregate_runs(repetitions);
+}
+
+void allocate_trace_slots(obs::RunTrace& trace, const SchemeFactoryOptions& options,
+                          std::size_t slots) {
+  trace.config.sample_rate = options.sample_rate;
+  trace.health_config.slo_target = options.slo_target;
+  trace.health_config.fast_window_ms = options.burn_fast_ms;
+  trace.health_config.slow_window_ms = options.burn_slow_ms;
+  trace.reps.clear();
+  trace.rollups.clear();
+  trace.profiles.clear();
+  trace.healths.clear();
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    if (trace.capture_events) {
+      trace.reps.push_back(std::make_unique<obs::Tracer>(trace.config));
+    }
+    if (trace.collect_rollups) {
+      trace.rollups.push_back(
+          std::make_unique<obs::RollupAggregator>(trace.rollup_config));
+    }
+    if (trace.profile) trace.profiles.push_back(std::make_unique<obs::Profiler>());
+    if (trace.collect_health) {
+      trace.healths.push_back(
+          std::make_unique<obs::HealthEngine>(trace.health_config));
+    }
+  }
 }
 
 double sweep_offline_spatial_fraction(const Scenario& scenario, int steps) {

@@ -86,6 +86,14 @@ class Runner {
   ThreadPool* pool_;
 };
 
+/// Size `trace` for one run: copy the tracer sample rate, the health SLO
+/// target and the burn windows from `options` (the CLI flags are the single
+/// knobs; the other config fields keep the trace's values), then allocate
+/// `slots` fresh slots for each enabled stream, in slot order. Runner::run
+/// has one slot per repetition, FleetSim::run one per endpoint.
+void allocate_trace_slots(obs::RunTrace& trace, const SchemeFactoryOptions& options,
+                          std::size_t slots);
+
 /// Offline sweep for the Offline Hybrid scheme (Fig. 1): run pilot
 /// experiments across spatial fractions on the pinned node and return the
 /// fraction with the highest overall SLO compliance.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 
 #include "src/common/rng.hpp"
 #include "src/core/hardware_selection.hpp"
@@ -12,25 +11,6 @@
 #include "src/perfmodel/y_optimizer.hpp"
 
 namespace paldia::exp {
-
-namespace {
-
-void digest_mix(std::uint64_t& h, std::uint64_t v) {
-  // FNV-1a over the value's bytes; byte-exact, so any drift between the
-  // pruned and linear modes (node, split, or even a t_max ulp) changes it.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ull;
-  }
-}
-
-std::uint64_t double_bits(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
 
 std::vector<std::vector<SweepDemand>> build_sweep_schedule(
     const SelectionSweepConfig& config, const models::Zoo& zoo) {
@@ -93,57 +73,31 @@ SelectionSweepResult run_selection_sweep(
     const models::ProfileTable& profile) {
   core::HardwareSelectionConfig selection_config;
   selection_config.slo_headroom = config.slo_headroom;
-  selection_config.prune = config.prune;
   perfmodel::YOptimizer optimizer{perfmodel::TmaxModel{}};
   core::HardwareSelection selection(zoo, catalog, profile, optimizer,
                                     selection_config);
   // Same memoization the production policy attaches; the cache only changes
-  // wall-clock time, never results, so the digest is cache-agnostic.
+  // wall-clock time, never results.
   perfmodel::TmaxCache cache;
   selection.set_tmax_cache(&cache);
 
   SelectionSweepResult result;
   result.endpoints = static_cast<int>(schedule.size());
   result.ticks = schedule.empty() ? 0 : static_cast<int>(schedule.front().size());
-  result.catalog_size = static_cast<int>(catalog.size());
-  result.choice_digest = 0xcbf29ce484222325ull;
 
   double cost_sum = 0.0;
-  std::int64_t sweep_pool = 0;
-  std::int64_t sweep_evaluated = 0;
   const auto start = std::chrono::steady_clock::now();
   for (const auto& timeline : schedule) {
     for (const auto& tick : timeline) {
-      // No sweep record: the timed loop runs the lazy pruned walk (or the
-      // linear reference scan when prune is off) — the production hot path.
-      const core::HardwareChoice choice = selection.choose(tick.models, nullptr);
+      const core::HardwareChoice choice = selection.choose(tick.models);
       ++result.choices;
       if (choice.feasible) ++result.feasible;
       const auto& spec = catalog.spec(choice.node);
       if (!spec.is_gpu()) ++result.cpu_choices;
       cost_sum += spec.price_per_hour;
-      digest_mix(result.choice_digest,
-                 static_cast<std::uint64_t>(hw::node_index(choice.node)));
-      digest_mix(result.choice_digest, static_cast<std::uint64_t>(choice.best_y));
-      digest_mix(result.choice_digest, double_bits(choice.t_max_ms));
-      digest_mix(result.choice_digest, choice.feasible ? 1u : 0u);
     }
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  // Sweep-work accounting in a second pass over a sample of ticks (recorded
-  // mode evaluates the full pool, so running it inside the timed loop would
-  // both slow the fleet and measure the wrong thing). One tick per endpoint
-  // keeps it cheap while covering every demand shape.
-  for (const auto& timeline : schedule) {
-    if (timeline.empty()) continue;
-    core::SelectionSweep sweep;
-    (void)selection.choose(timeline[timeline.size() / 2].models, &sweep);
-    sweep_pool += sweep.pool_size;
-    sweep_evaluated += sweep.evaluated;
-  }
-  result.pool_candidates = sweep_pool;
-  result.evaluated = sweep_evaluated;
 
   if (result.ticks > 0) {
     result.fleet_cost_per_hour = cost_sum / result.ticks;

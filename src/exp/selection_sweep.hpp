@@ -6,16 +6,11 @@
 // kNodeTypeCount. The serving fleet, with gateways and a simulator, is
 // core::Fleet.
 //
-// Two outputs matter:
-//   * a cost-vs-SLO frontier (fig. 5 style): sweep slo_headroom and report
-//     fleet $/hour against SLO attainment at each point;
-//   * sweep-work accounting: how many of the pool's candidates the pruned
-//     walk actually evaluated, versus the exhaustive linear reference.
+// The output is a cost-vs-SLO frontier (fig. 5 style): sweep slo_headroom
+// and report fleet $/hour against SLO attainment at each point.
 //
 // Determinism contract: the demand schedule and every choice are pure
-// functions of (SelectionSweepConfig, catalog) — choice_digest hashes the
-// exact HardwareChoice stream, and the pruned walk and the linear reference
-// scan must produce the same digest (fleet_frontier's self-check).
+// functions of (SelectionSweepConfig, catalog).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +28,6 @@ struct SelectionSweepConfig {
   int ticks = 40;             // monitor ticks simulated per endpoint
   std::uint64_t seed = 2026;  // demand random-walk seed
   double slo_headroom = 0.85; // HardwareSelectionConfig::slo_headroom
-  bool prune = true;          // false = exhaustive linear reference
 };
 
 /// One endpoint's demand at one tick: the co-resident models' snapshots.
@@ -42,24 +36,20 @@ struct SweepDemand {
 };
 
 /// The full demand schedule: schedule[endpoint][tick]. A pure function
-/// of (config.seed, endpoints, ticks) — independent of headroom and prune
-/// mode, so frontier points and prune modes see identical inputs.
+/// of (config.seed, endpoints, ticks) — independent of headroom, so every
+/// frontier point sees identical inputs.
 std::vector<std::vector<SweepDemand>> build_sweep_schedule(
     const SelectionSweepConfig& config, const models::Zoo& zoo);
 
 struct SelectionSweepResult {
   int endpoints = 0;
   int ticks = 0;
-  int catalog_size = 0;
   long long choices = 0;        // endpoints * ticks
   long long feasible = 0;       // choices whose T_max met the headroomed SLO
   long long cpu_choices = 0;    // choices that landed on a CPU node
-  long long pool_candidates = 0;  // summed capable-pool sizes
-  long long evaluated = 0;        // summed candidates actually evaluated
   double fleet_cost_per_hour = 0.0;  // sum of chosen prices, averaged over ticks
   double slo_attainment = 0.0;       // feasible / choices
-  double micros_per_choice = 0.0;    // wall-clock, excluded from the digest
-  std::uint64_t choice_digest = 0;   // FNV-1a over the exact choice stream
+  double micros_per_choice = 0.0;    // wall-clock
 };
 
 /// Run the sweep over a prebuilt schedule. `catalog` is typically

@@ -104,20 +104,6 @@ void Catalog::build_indexes() {
               return node_index(a) < node_index(b);
             });
   if (!gpus_by_capability_.empty()) most_performant_gpu_ = gpus_by_capability_.back();
-
-  // Price bands with a geometric factor of 2: a bucket closes when the next
-  // node costs more than twice the bucket's cheapest member. Zero-price
-  // specs (degenerate test catalogs) all land in the first bucket.
-  for (std::size_t i = 0; i < cost_ascending_.size(); ++i) {
-    const Dollars price = spec(cost_ascending_[i]).price_per_hour;
-    if (cost_buckets_.empty() || (cost_buckets_.back().min_price > 0 &&
-                                  price > 2.0 * cost_buckets_.back().min_price)) {
-      cost_buckets_.push_back(CostBucket{i, i + 1, price, price});
-    } else {
-      cost_buckets_.back().end = i + 1;
-      cost_buckets_.back().max_price = price;
-    }
-  }
 }
 
 const Catalog& Catalog::instance() {

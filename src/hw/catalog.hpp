@@ -51,20 +51,6 @@ class Catalog {
   /// this. nullopt on a CPU-only catalog; callers degrade to CPU selection.
   std::optional<NodeType> most_performant_gpu() const { return most_performant_gpu_; }
 
-  /// One contiguous [begin, end) slice of by_cost_ascending() whose prices
-  /// span at most a fixed geometric band. The pruned selection sweep walks
-  /// buckets cheapest-first and can discard a whole bucket once a feasible
-  /// in-band winner is found in a cheaper one.
-  struct CostBucket {
-    std::size_t begin = 0;  // index into by_cost_ascending()
-    std::size_t end = 0;    // exclusive
-    Dollars min_price = 0;
-    Dollars max_price = 0;
-  };
-
-  /// Partition of by_cost_ascending() into price bands (geometric factor 2).
-  const std::vector<CostBucket>& cost_buckets() const { return cost_buckets_; }
-
   static const Catalog& instance();
 
  private:
@@ -73,7 +59,6 @@ class Catalog {
   std::vector<NodeSpec> specs_;
   std::vector<NodeType> cost_ascending_;
   std::vector<NodeType> gpus_by_capability_;
-  std::vector<CostBucket> cost_buckets_;
   std::optional<NodeType> most_performant_gpu_;
 };
 

@@ -10,8 +10,8 @@
 //
 // Determinism contract: generate_specs(config) is a pure function of the
 // config (all draws come from Rng forks of config.seed), so two processes
-// with the same spec string build byte-identical catalogs — the pruned-vs-
-// linear CI byte comparisons depend on this.
+// with the same spec string build byte-identical catalogs — the CI byte
+// comparisons of generated-catalog runs depend on this.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,8 @@ struct CatalogGenConfig {
   std::uint64_t seed = 42;
   double price_noise = 0.10;   // lognormal sigma applied to the price law
   /// Fraction of nodes emitted as regional price variants of an earlier node
-  /// (same silicon, different price) — these are exactly the "≥ price,
-  /// ≤ capability" rows dominance pruning exists for.
+  /// (same silicon, different price): "≥ price, ≤ capability" rows that
+  /// the cheapest-within-band rule never prefers over their cheaper twin.
   double twin_fraction = 0.20;
 };
 

@@ -77,15 +77,12 @@ AttributionEngine::AttributionEngine(const models::Zoo& zoo, bool latency_gauges
 std::optional<telemetry::ViolationCause> AttributionEngine::observe_request(
     LifecycleSample sample) {
   const bool model_ok = sample.model >= 0 && sample.model < models::kModelCount;
-  const bool node_ok = sample.node >= 0 && sample.node < hw::kNodeTypeCount;
   sample.retried = retried_.count(sample.request_id) > 0;
   sample.blackout = blackouts_.overlaps(sample.arrival_ms, sample.start_ms);
 
   const DurationMs latency = sample.end_ms - sample.arrival_ms;
   ++total_.completed;
   if (latency_) latency_->insert(latency);
-  if (model_ok) ++per_model_[sample.model].completed;
-  if (node_ok) ++per_node_[sample.node].completed;
 
   if (!model_ok || latency <= slo_ms_[sample.model]) return std::nullopt;
 
@@ -94,27 +91,16 @@ std::optional<telemetry::ViolationCause> AttributionEngine::observe_request(
   ++total_.violations;
   ++total_.causes[index];
   ++window_[index];
-  ++per_model_[sample.model].violations;
-  ++per_model_[sample.model].causes[index];
-  if (node_ok) {
-    ++per_node_[sample.node].violations;
-    ++per_node_[sample.node].causes[index];
-  }
   return cause;
 }
 
-void AttributionEngine::record_unserved(int model, std::uint64_t count) {
+void AttributionEngine::record_unserved(std::uint64_t count) {
   if (count == 0) return;
   const auto index = static_cast<std::size_t>(ViolationCause::kUnserved);
   total_.completed += count;
   total_.violations += count;
   total_.causes[index] += count;
   window_[index] += count;
-  if (model >= 0 && model < models::kModelCount) {
-    per_model_[model].completed += count;
-    per_model_[model].violations += count;
-    per_model_[model].causes[index] += count;
-  }
 }
 
 namespace {

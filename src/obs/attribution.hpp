@@ -103,8 +103,7 @@ class BlackoutWindows {
   std::vector<Window> windows_;
 };
 
-/// Per-model / per-node aggregation cell: completion + violation counts by
-/// cause.
+/// Run-wide aggregation cell: completion + violation counts by cause.
 struct AttributionBucket {
   std::uint64_t completed = 0;
   std::uint64_t violations = 0;
@@ -136,7 +135,7 @@ class AttributionEngine {
 
   /// Requests still pending at the drain cap: counted as violations with
   /// cause kUnserved (no latency sample, no node).
-  void record_unserved(int model, std::uint64_t count);
+  void record_unserved(std::uint64_t count);
 
   /// Monitor-tick sampling into the metrics stream: cumulative violation
   /// total, per-cause counts that moved since the last sample, and (with
@@ -147,10 +146,6 @@ class AttributionEngine {
   std::uint64_t completed() const { return total_.completed; }
   std::uint64_t violations() const { return total_.violations; }
   const telemetry::ViolationCauseCounts& causes() const { return total_.causes; }
-  const AttributionBucket& total() const { return total_; }
-  const AttributionBucket& per_model(int model) const { return per_model_[model]; }
-  const AttributionBucket& per_node(int node) const { return per_node_[node]; }
-  const BlackoutWindows& blackouts() const { return blackouts_; }
 
  private:
   std::array<DurationMs, models::kModelCount> slo_ms_{};
@@ -159,8 +154,6 @@ class AttributionEngine {
   AttributionBucket total_;
   /// With latency_gauges: every completion; sample() gauges its quantiles.
   std::optional<QuantileSketch> latency_;
-  std::array<AttributionBucket, models::kModelCount> per_model_;
-  std::array<AttributionBucket, hw::kNodeTypeCount> per_node_;
   telemetry::ViolationCauseCounts window_{};  // since the last sample()
 };
 

@@ -214,7 +214,7 @@ void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
       *out_ << "scheme,scenario,rep,t_ms,current,chosen,final,switch_begun,"
                "feasible,t_max_ms,best_t_max_ms,band_ms,wait_ctr,downgrade_ctr,"
                "emergency_ctr,cpu_short_circuit,predicted_rps,observed_rps,"
-               "pool_size,evaluated,pruned,candidates\n";
+               "pool_size,candidates\n";
     }
     // Candidates as "node:t_max:feasible:price" joined with ';' — one cell,
     // still splittable without a CSV-in-CSV parser.
@@ -237,7 +237,6 @@ void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
           << (record.cpu_short_circuit ? 1 : 0) << ","
           << format_number(record.predicted_rps) << ","
           << format_number(record.observed_rps) << "," << record.pool_size << ","
-          << record.evaluated_candidates << "," << record.pruned_candidates << ","
           << csv_escape(candidates) << "\n";
   } else {
     *out_ << "{\"scheme\":\"" << json_escape(scheme) << "\",\"scenario\":\""
@@ -257,8 +256,6 @@ void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
           << ",\"predicted_rps\":" << format_number(record.predicted_rps)
           << ",\"observed_rps\":" << format_number(record.observed_rps)
           << ",\"pool_size\":" << record.pool_size
-          << ",\"evaluated\":" << record.evaluated_candidates
-          << ",\"pruned\":" << record.pruned_candidates
           << ",\"candidates\":[";
     bool first = true;
     for (const auto& candidate : record.candidates) {

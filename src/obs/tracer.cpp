@@ -62,20 +62,6 @@ void Tracer::record_request_lifecycle(std::int64_t request_id, models::ModelId m
   push(event);
 }
 
-void Tracer::record_batch_lifecycles(const cluster::Request* requests, int count,
-                                     models::ModelId model, hw::NodeType node,
-                                     cluster::ShareMode mode, int batch_size,
-                                     int spatial, int temporal, TimeMs submit_ms,
-                                     TimeMs start_ms, TimeMs end_ms,
-                                     DurationMs solo_ms, DurationMs interference_ms,
-                                     DurationMs cold_ms) {
-  for (int i = 0; i < count; ++i) {
-    record_request_lifecycle(requests[i].id.value, model, node, mode, batch_size,
-                             spatial, temporal, requests[i].arrival_ms, submit_ms,
-                             start_ms, end_ms, solo_ms, interference_ms, cold_ms);
-  }
-}
-
 void Tracer::record_batch(std::int64_t batch_id, models::ModelId model,
                           hw::NodeType node, cluster::ShareMode mode, int batch_size,
                           TimeMs submit_ms, TimeMs start_ms, TimeMs end_ms,

@@ -130,13 +130,9 @@ struct DecisionRecord {
   int wait_ctr = 0;                // hysteresis state after the decision
   int downgrade_ctr = 0;
   int emergency_ctr = 0;
-  /// Sweep-work accounting (SelectionSweep): the capable pool size, how many
-  /// candidates the pruned walk evaluates, and how many it proves away.
-  /// The counts replay the pruned walk over the recorded candidates;
-  /// paldia-analyze reports the sweep work saved from these.
+  /// Capable candidates in the sweep (SelectionSweep::pool_size);
+  /// `candidates` holds one more when the choice escalated outside the pool.
   int pool_size = 0;
-  int evaluated_candidates = 0;
-  int pruned_candidates = 0;
   /// EWMA horizon forecast and trailing observed rate at the tick, summed
   /// over workloads — the calibration layer pairs these with what actually
   /// happened in the following interval.
@@ -178,15 +174,6 @@ class Tracer {
                                 TimeMs arrival_ms, TimeMs submit_ms, TimeMs start_ms,
                                 TimeMs end_ms, DurationMs solo_ms,
                                 DurationMs interference_ms, DurationMs cold_ms);
-
-  /// record_request_lifecycle for every member of a completed batch, which
-  /// share everything but their id and arrival time.
-  void record_batch_lifecycles(const cluster::Request* requests, int count,
-                               models::ModelId model, hw::NodeType node,
-                               cluster::ShareMode mode, int batch_size, int spatial,
-                               int temporal, TimeMs submit_ms, TimeMs start_ms,
-                               TimeMs end_ms, DurationMs solo_ms,
-                               DurationMs interference_ms, DurationMs cold_ms);
 
   /// Record one batch execution on a device lane.
   void record_batch(std::int64_t batch_id, models::ModelId model, hw::NodeType node,
@@ -285,8 +272,9 @@ class Tracer {
 /// created up front (rep order) and filled concurrently; exporters read them
 /// in slot order, so the serialized output is independent of thread count.
 struct RunTrace {
-  /// Tracer slot configuration. Runner::run overwrites sample_rate from
-  /// SchemeFactoryOptions so the --sample-rate flag is the single knob.
+  /// Tracer slot configuration. exp::allocate_trace_slots overwrites
+  /// sample_rate from SchemeFactoryOptions so the --sample-rate flag is the
+  /// single knob.
   TracerConfig config;
   /// When false, no tracer slots are allocated: a rollup- or profile-only
   /// run observes every completion in fixed memory with no event buffers.
@@ -295,9 +283,9 @@ struct RunTrace {
   bool collect_rollups = false;
   /// Allocate one Profiler per repetition (--profile).
   bool profile = false;
-  /// Allocate one HealthEngine per repetition (--alerts-out). Runner::run
-  /// overwrites health_config's slo_target / burn windows from
-  /// SchemeFactoryOptions so the CLI flags are the single knob.
+  /// Allocate one HealthEngine per repetition (--alerts-out).
+  /// exp::allocate_trace_slots overwrites health_config's slo_target / burn
+  /// windows from SchemeFactoryOptions so the CLI flags are the single knob.
   bool collect_health = false;
   RollupConfig rollup_config;
   HealthConfig health_config;

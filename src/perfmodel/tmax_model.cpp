@@ -33,14 +33,6 @@ DurationMs TmaxModel::t_max_ms(const WorkloadPoint& point, int y) const {
   return queued + spatial;
 }
 
-DurationMs TmaxModel::t_max_lower_bound(const WorkloadPoint& point) const {
-  if (point.n_requests <= 0) return 0.0;
-  const double batches =
-      static_cast<double>(point.n_requests) / static_cast<double>(point.batch_size);
-  const double q = std::max(point.fbr, point.compute);
-  return point.solo_ms * std::min(batches, std::max(1.0, batches * q));
-}
-
 std::optional<std::pair<int, int>> TmaxModel::optimal_range(
     const WorkloadPoint& point) const {
   if (point.n_requests <= 0 || point.fbr <= 0.0) return std::nullopt;

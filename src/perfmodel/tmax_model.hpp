@@ -71,21 +71,6 @@ class TmaxModel {
   /// (T_max = Solo * N / BS, no concurrent set).
   DurationMs t_max_ms(const WorkloadPoint& point, int y) const;
 
-  /// Closed-form lower bound on min over y in [0, N] of t_max_ms(point, y):
-  ///
-  ///   LB = Solo * min(N / BS, max(1, (N / BS) * q)),  q = max(FBR, compute)
-  ///
-  /// Proof sketch: y = N gives Solo * N / BS. For y < N, stretch >= 1 and
-  /// stretch(S) >= S bound the concurrent term, so T_max(y) >= Solo * (y/BS
-  /// + max(1, ((N-y)/BS) q)); minimising that piecewise-linear function over
-  /// y gives >= Solo * max(1, (N/BS) q) when the demand saturates and
-  /// >= Solo otherwise, and N/BS caps both via the pure-time-share split.
-  /// The bound needs no y-sweep (two profile reads), is 0 for N <= 0, and
-  /// is monotone in N when BS = min(max_batch, N) — the pruned hardware
-  /// sweep uses it to discard provably-infeasible or provably-worse
-  /// candidates without running Algorithm 1's sweep on them.
-  DurationMs t_max_lower_bound(const WorkloadPoint& point) const;
-
   /// The paper's 'optimal range' of y values: those satisfying constraint
   /// (i) y < N and (ii) S(y) > 1 (interference term valid). Returns an
   /// inclusive [lo, hi] range, or nullopt when no y satisfies (ii) — the

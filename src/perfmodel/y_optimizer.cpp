@@ -6,8 +6,11 @@
 
 namespace paldia::perfmodel {
 
-SharingDecision YOptimizer::best_split(const WorkloadPoint& point,
-                                       int max_probes) const {
+namespace {
+constexpr int kMaxProbes = 256;  // probe budget over the optimal range
+}  // namespace
+
+SharingDecision YOptimizer::best_split(const WorkloadPoint& point) const {
   SharingDecision best;
   if (point.n_requests <= 0) {
     best.y = 0;
@@ -23,7 +26,7 @@ SharingDecision YOptimizer::best_split(const WorkloadPoint& point,
   if (const auto range = model_.optimal_range(point)) {
     const auto [lo, hi] = *range;
     const int span = hi - lo + 1;
-    const int stride = std::max(1, (span + max_probes - 1) / max_probes);
+    const int stride = std::max(1, (span + kMaxProbes - 1) / kMaxProbes);
     for (int y = lo; y <= hi; y += stride) candidates.push_back(y);
     if ((hi - lo) % stride != 0) candidates.push_back(hi);
   }

@@ -15,10 +15,6 @@ struct SharingDecision {
   bool feasible = false;      // t_max <= SLO
 };
 
-/// Default probe budget of the sweep. Named so cache keys built at the
-/// call sites (TmaxCache) agree with the default-argument call paths.
-inline constexpr int kDefaultSweepProbes = 256;
-
 class YOptimizer {
  public:
   /// pool may be null: the sweep then runs on the calling thread (results
@@ -27,12 +23,10 @@ class YOptimizer {
       : model_(model), pool_(pool) {}
 
   /// Best split for the operating point. Candidates: every y in the optimal
-  /// range (strided down to <= max_probes points), plus y = N (pure time
+  /// range (strided down to <= 256 points), plus y = N (pure time
   /// sharing) and y = 0 (pure spatial — covers the unsaturated case where
   /// the optimal range is empty). Deterministic regardless of the pool.
-  SharingDecision best_split(const WorkloadPoint& point, int max_probes = 256) const;
-
-  const TmaxModel& model() const { return model_; }
+  SharingDecision best_split(const WorkloadPoint& point) const;
 
  private:
   TmaxModel model_;

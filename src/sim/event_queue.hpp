@@ -69,11 +69,6 @@ class EventQueue {
   /// live-entry counter, so no lazy cleanup (and no `mutable`) is needed.
   bool empty() const { return live_ == 0; }
 
-  /// Number of heap entries, including not-yet-collected cancelled ones.
-  /// An upper bound on the live event count; exact when nothing was
-  /// cancelled. Cheap, used only for diagnostics.
-  std::size_t size_upper_bound() const { return heap_.size(); }
-
   /// Time of the earliest live event; kTimeNever when empty. Collects
   /// cancelled entries sitting at the top of the heap, hence non-const.
   TimeMs next_time();

@@ -24,9 +24,6 @@ class PowerTracker {
   /// Average draw of all held nodes over the sampled interval, W.
   Watts average_power() const;
 
-  /// Total energy, Watt-ms.
-  double energy_wms() const { return energy_wms_; }
-
  private:
   void sample();
 

@@ -36,6 +36,13 @@ TEST(InlineFunction, MoveTransfersCallable) {
   InlineFunction<int()> assigned;
   assigned = std::move(target);
   EXPECT_EQ(assigned(), 43);  // counter state moved along
+
+  // A captureless lambda writes no byte of the buffer it is blitted with.
+  InlineFunction<int()> empty = [] { return 7; };
+  InlineFunction<int()> moved_empty = std::move(empty);
+  EXPECT_FALSE(static_cast<bool>(empty));  // NOLINT(bugprone-use-after-move)
+  assigned = std::move(moved_empty);
+  EXPECT_EQ(assigned(), 7);
 }
 
 TEST(InlineFunction, MoveOnlyCaptureWorks) {

@@ -44,7 +44,9 @@ TEST(SliceCatalog, SlicesAreDisjointSortedAndBounded) {
     for (std::size_t i = 0; i < slice.size(); ++i) {
       EXPECT_GE(slice[i], 0);
       EXPECT_LT(slice[i], static_cast<int>(catalog.size()));
-      if (i > 0) EXPECT_LT(slice[i - 1], slice[i]);  // sorted, no dupes
+      if (i > 0) {
+        EXPECT_LT(slice[i - 1], slice[i]);  // sorted, no dupes
+      }
       EXPECT_TRUE(seen.insert(slice[i]).second) << "node dealt twice";
     }
   }

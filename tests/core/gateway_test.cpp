@@ -114,7 +114,9 @@ TEST(Gateway, SortedByArrivalInvariantSurvivesRepeatedRequeueAfterFailure) {
   auto drained = gateway.take(kModel, total, 10'000.0);
   ASSERT_EQ(drained.size(), static_cast<std::size_t>(total));
   for (std::size_t i = 0; i < drained.size(); ++i) {
-    if (i > 0) EXPECT_LE(drained[i - 1].arrival_ms, drained[i].arrival_ms) << i;
+    if (i > 0) {
+      EXPECT_LE(drained[i - 1].arrival_ms, drained[i].arrival_ms) << i;
+    }
     expected_ids.insert(drained[i].id.value);
   }
   EXPECT_EQ(expected_ids.size(), static_cast<std::size_t>(total));  // none lost
@@ -202,7 +204,9 @@ TEST(Gateway, FleetFanInRandomizedAgainstReferenceModel) {
         ASSERT_LE(static_cast<int>(block.size()), max_count);
         for (std::size_t i = 0; i < block.size(); ++i) {
           ASSERT_LE(block[i].arrival_ms, now);
-          if (i > 0) ASSERT_LE(block[i - 1].arrival_ms, block[i].arrival_ms);
+          if (i > 0) {
+            ASSERT_LE(block[i - 1].arrival_ms, block[i].arrival_ms);
+          }
           seen_ids[m].insert(block[i].id.value);
         }
         drained[m] += static_cast<std::int64_t>(block.size());
@@ -225,7 +229,9 @@ TEST(Gateway, FleetFanInRandomizedAgainstReferenceModel) {
         auto block = gateway.take(model, 1 << 20, now);
         for (std::size_t i = 0; i < block.size(); ++i) {
           ASSERT_LE(block[i].arrival_ms, now);
-          if (i > 0) ASSERT_LE(block[i - 1].arrival_ms, block[i].arrival_ms);
+          if (i > 0) {
+            ASSERT_LE(block[i - 1].arrival_ms, block[i].arrival_ms);
+          }
           seen_ids[m].insert(block[i].id.value);
         }
         drained[m] += static_cast<std::int64_t>(block.size());
@@ -251,7 +257,9 @@ TEST(Gateway, FleetFanInRandomizedAgainstReferenceModel) {
     in_flight[m].clear();
     auto block = gateway.take(kModels[m], 1 << 20, now);
     for (std::size_t i = 0; i < block.size(); ++i) {
-      if (i > 0) ASSERT_LE(block[i - 1].arrival_ms, block[i].arrival_ms);
+      if (i > 0) {
+        ASSERT_LE(block[i - 1].arrival_ms, block[i].arrival_ms);
+      }
       seen_ids[m].insert(block[i].id.value);
     }
     drained[m] += static_cast<std::int64_t>(block.size());

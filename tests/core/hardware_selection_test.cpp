@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/hw/catalog_gen.hpp"
+
 namespace paldia::core {
 namespace {
 
@@ -160,36 +164,81 @@ TEST_F(HardwareSelectionTest, NegativePerformanceBandClampedToZero) {
   EXPECT_EQ(choice.node, baseline.node);
 }
 
-TEST_F(HardwareSelectionTest, NoPruneReturnsIdenticalChoices) {
-  HardwareSelectionConfig config;
-  config.prune = false;
-  HardwareSelection linear(models::Zoo::instance(), hw::Catalog::instance(),
-                           profile_, optimizer_, config);
-  for (Rps rate : {0.0, 5.0, 60.0, 150.0, 700.0, 20000.0}) {
-    const auto pruned = selection_.choose({demand(models::ModelId::kResNet50, rate)});
-    const auto exhaustive = linear.choose({demand(models::ModelId::kResNet50, rate)});
-    EXPECT_EQ(pruned.node, exhaustive.node) << "rate " << rate;
-    EXPECT_EQ(pruned.best_y, exhaustive.best_y) << "rate " << rate;
-    EXPECT_EQ(pruned.t_max_ms, exhaustive.t_max_ms) << "rate " << rate;
-    EXPECT_EQ(pruned.feasible, exhaustive.feasible) << "rate " << rate;
+TEST_F(HardwareSelectionTest, SweepListsEveryPoolMemberCheapestFirst) {
+  // Algorithm 1 evaluates the whole capable pool, cheapest first, whether
+  // or not the caller records it: 10 rps ends on a CPU short-circuit, 150
+  // rps in choose_best_HW over the GPUs, 20000 rps in the escalation.
+  const auto& catalog = hw::Catalog::instance();
+  const auto& model = models::Zoo::instance().spec(models::ModelId::kResNet50);
+  for (Rps rate : {10.0, 150.0, 20000.0}) {
+    const std::vector<DemandSnapshot> load = {demand(models::ModelId::kResNet50, rate)};
+    SelectionSweep sweep;
+    const auto recorded = selection_.choose(load, &sweep);
+    const auto unrecorded = selection_.choose(load);
+    EXPECT_EQ(recorded.node, unrecorded.node) << "rate " << rate;
+    EXPECT_EQ(recorded.t_max_ms, unrecorded.t_max_ms) << "rate " << rate;
+
+    std::vector<hw::NodeType> capable;
+    for (hw::NodeType node : catalog.by_cost_ascending()) {
+      if (profile_.lookup(model, node, 1).solo_ms <= model.slo_ms) {
+        capable.push_back(node);
+      }
+    }
+    EXPECT_EQ(sweep.pool_size, static_cast<int>(sweep.candidates.size()));
+    ASSERT_EQ(sweep.candidates.size(), capable.size()) << "rate " << rate;
+    for (std::size_t i = 0; i < capable.size(); ++i) {
+      const auto& candidate = sweep.candidates[i];
+      EXPECT_EQ(candidate.node, capable[i]) << "rate " << rate << " position " << i;
+      const auto evaluated = selection_.evaluate(capable[i], load);
+      EXPECT_EQ(candidate.t_max_ms, evaluated.t_max_ms);
+      EXPECT_EQ(candidate.feasible, evaluated.feasible);
+      if (i > 0) {
+        EXPECT_LE(catalog.spec(sweep.candidates[i - 1].node).price_per_hour,
+                  catalog.spec(candidate.node).price_per_hour);
+      }
+    }
+    EXPECT_EQ(sweep.cpu_short_circuit, rate == 10.0) << "rate " << rate;
+    EXPECT_EQ(sweep.best_feasible_gpu_t_max_ms > 0.0, rate == 150.0) << "rate " << rate;
   }
 }
 
-TEST_F(HardwareSelectionTest, SweepRecordsPruningWork) {
-  // CPU short-circuit: one evaluation settles it; the counters must show
-  // the other pool members pruned, and add up exactly.
+TEST(HardwareSelection, CpuOnlyCatalogDegradesInsteadOfAborting) {
+  const auto& zoo = models::Zoo::instance();
+  hw::CatalogGenConfig config;
+  config.node_count = 12;
+  config.gpu_fraction = 0.0;
+  config.seed = 5;
+  const hw::Catalog catalog = hw::generate_catalog(config);
+  ASSERT_FALSE(catalog.most_performant_gpu().has_value());
+  const models::ProfileTable profile(catalog);
+  const perfmodel::YOptimizer optimizer{perfmodel::TmaxModel(0.2)};
+  const HardwareSelection selection(zoo, catalog, profile, optimizer);
+  DemandSnapshot light;
+  light.model = models::ModelId::kResNet50;
+  light.observed_rps = light.predicted_rps = light.smoothed_rps = 4.0;
+  // Light demand: a CPU node serves it.
+  auto choice = selection.choose({light});
+  EXPECT_FALSE(catalog.spec(choice.node).is_gpu());
+  EXPECT_TRUE(choice.feasible);
+  // Hopeless demand: no GPU to escalate to, so the least-bad CPU (minimum
+  // T_max, the cheapest on ties) comes back marked infeasible rather than
+  // aborting.
+  DemandSnapshot hopeless;
+  hopeless.model = models::ModelId::kBert;
+  hopeless.observed_rps = hopeless.predicted_rps = hopeless.smoothed_rps = 2000.0;
+  hopeless.backlog = 512;
   SelectionSweep sweep;
-  const auto choice = selection_.choose({demand(models::ModelId::kResNet50, 10.0)},
-                                        &sweep);
-  EXPECT_TRUE(sweep.cpu_short_circuit);
-  EXPECT_FALSE(hw::Catalog::instance().spec(choice.node).is_gpu());
-  EXPECT_EQ(sweep.pool_size, static_cast<int>(sweep.candidates.size()));
-  EXPECT_EQ(sweep.pool_size, sweep.evaluated + sweep.pruned);
-  EXPECT_GE(sweep.evaluated, 1);
-  EXPECT_GT(sweep.pruned, 0);
-  // Recorded mode still evaluates every pool member for the export tables.
+  choice = selection.choose({hopeless}, &sweep);
+  EXPECT_FALSE(catalog.spec(choice.node).is_gpu());
+  EXPECT_FALSE(choice.feasible);
+  ASSERT_FALSE(sweep.candidates.empty());
   for (const auto& candidate : sweep.candidates) {
-    EXPECT_GE(candidate.t_max_ms, 0.0);
+    EXPECT_FALSE(candidate.feasible);
+    EXPECT_GE(candidate.t_max_ms, choice.t_max_ms);
+    if (candidate.t_max_ms == choice.t_max_ms) {
+      EXPECT_GE(catalog.spec(candidate.node).price_per_hour,
+                catalog.spec(choice.node).price_per_hour);
+    }
   }
 }
 

@@ -117,18 +117,6 @@ TEST(CatalogGen, GeneratedCatalogIndexesWork) {
   std::set<std::string> names;
   for (const auto& spec : catalog.all()) names.insert(spec.instance);
   EXPECT_EQ(names.size(), catalog.size());
-  // Cost buckets tile the cost-ascending order exactly.
-  std::size_t covered = 0;
-  double previous_max = 0.0;
-  for (const auto& bucket : catalog.cost_buckets()) {
-    EXPECT_EQ(bucket.begin, covered);
-    EXPECT_GT(bucket.end, bucket.begin);
-    EXPECT_GE(bucket.min_price, previous_max);
-    EXPECT_LE(bucket.min_price, bucket.max_price);
-    previous_max = bucket.max_price;
-    covered = bucket.end;
-  }
-  EXPECT_EQ(covered, catalog.size());
   ASSERT_TRUE(catalog.most_performant_gpu().has_value());
   const auto top = *catalog.most_performant_gpu();
   for (hw::NodeType gpu : catalog.gpus_by_capability_ascending()) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/exp/summary.hpp"
+#include "src/obs/export.hpp"
 #include "src/obs/rollup.hpp"
 #include "src/trace/generators.hpp"
 
@@ -178,6 +181,36 @@ TEST(Runner, CacheStatsNonzeroForPaldiaAndOracle) {
     EXPECT_GT(result.combined.tmax_cache_hits, 0.0) << scheme_name(scheme);
     EXPECT_GT(result.combined.tmax_cache_misses, 0.0) << scheme_name(scheme);
   }
+}
+
+TEST(Runner, SweepWorkDoesNotDependOnTheTracer) {
+  // Algorithm 1 evaluates the whole candidate pool whether or not a tracer
+  // records the sweep, so a traced run does exactly the Eq. 1 sweep work of
+  // an untraced one: every metrics column matches, the T_max cache counters
+  // included. Only the calibration columns differ; only a tracer's decision
+  // records feed them.
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance());
+  const auto scenario = short_scenario(models::ModelId::kResNet50, 120.0, seconds(30));
+  auto untraced = runner.run_once(scenario, SchemeId::kPaldia, 5);
+  obs::Tracer tracer;
+  auto traced = runner.run_once(scenario, SchemeId::kPaldia, 5, false, &tracer);
+  EXPECT_GT(traced.combined.calib_intervals, 0.0);
+  EXPECT_EQ(untraced.combined.calib_intervals, 0.0);
+  EXPECT_GT(untraced.combined.tmax_cache_hits, 0.0);
+  EXPECT_EQ(traced.combined.tmax_cache_hits, untraced.combined.tmax_cache_hits);
+  EXPECT_EQ(traced.combined.tmax_cache_misses, untraced.combined.tmax_cache_misses);
+
+  const auto rows = [](RunResult& result) {
+    std::ostringstream out;
+    obs::MetricsWriter writer(out, obs::ExportFormat::kJsonl);
+    result.per_workload.push_back(result.combined);
+    for (auto& row : result.per_workload) {
+      row.tmax_mape = row.tmax_coverage = row.rate_mape = row.calib_intervals = 0.0;
+      writer.write(row);
+    }
+    return out.str();
+  };
+  EXPECT_EQ(rows(traced), rows(untraced));
 }
 
 TEST(SchemeFactory, BuildsEveryScheme) {

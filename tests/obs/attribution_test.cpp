@@ -223,7 +223,7 @@ TEST(AttributionEngine, CauseCountsSumToViolationTotal) {
   blackout.cold_ms = 0.0;
   engine.observe_request(blackout);
 
-  engine.record_unserved(/*model=*/1, /*count=*/3);
+  engine.record_unserved(/*count=*/3);
 
   std::uint64_t cause_sum = 0;
   for (const std::uint64_t n : engine.causes()) cause_sum += n;
@@ -232,16 +232,8 @@ TEST(AttributionEngine, CauseCountsSumToViolationTotal) {
   EXPECT_EQ(engine.causes()[static_cast<int>(ViolationCause::kFailureRetry)], 1u);
   EXPECT_EQ(engine.causes()[static_cast<int>(ViolationCause::kHardwareSwitch)], 1u);
   EXPECT_EQ(engine.causes()[static_cast<int>(ViolationCause::kUnserved)], 3u);
-
-  // Per-model and per-node buckets partition the totals.
-  std::uint64_t model_completed = 0;
-  std::uint64_t model_violations = 0;
-  for (int m = 0; m < models::kModelCount; ++m) {
-    model_completed += engine.per_model(m).completed;
-    model_violations += engine.per_model(m).violations;
-  }
-  EXPECT_EQ(model_completed, engine.completed());
-  EXPECT_EQ(model_violations, engine.violations());
+  // 50 + the retried and blackout requests completed; unserved ones count too.
+  EXPECT_EQ(engine.completed(), 55u);
 }
 
 TEST(AttributionEngine, CompliantRequestsAreNotClassified) {

@@ -135,41 +135,6 @@ TEST(TracerSampling, DefaultSlosTreatNothingAsViolating) {
   EXPECT_LT(tracer.events().size(), 5u);
 }
 
-TEST(TracerSampling, BatchPathMatchesPerRequestPath) {
-  // The bulk record_batch_lifecycles gate must keep exactly the ids the
-  // per-request path keeps, compacted without gaps.
-  std::array<DurationMs, models::kModelCount> slos{};
-  slos.fill(100.0);
-
-  Tracer per_request = make_sampling_tracer(4);
-  per_request.set_model_slos(slos);
-  Tracer bulk = make_sampling_tracer(4);
-  bulk.set_model_slos(slos);
-
-  const int count = 64;
-  std::vector<cluster::Request> requests(count);
-  for (int i = 0; i < count; ++i) {
-    requests[i].id = RequestId{i + 1};
-    requests[i].model = kModel;
-    requests[i].arrival_ms = 1000.0;
-  }
-  for (const auto& request : requests) {
-    per_request.record_request_lifecycle(
-        request.id.value, kModel, kNode, cluster::ShareMode::kSpatial, count, 50,
-        1, request.arrival_ms, 1001.0, 1002.0, 1050.0, 48.0, 0.0, 0.0);
-  }
-  bulk.record_batch_lifecycles(requests.data(), count, kModel, kNode,
-                               cluster::ShareMode::kSpatial, count, 50, 1,
-                               1001.0, 1002.0, 1050.0, 48.0, 0.0, 0.0);
-
-  ASSERT_EQ(per_request.events().size(), bulk.events().size());
-  for (std::size_t i = 0; i < per_request.events().size(); ++i) {
-    EXPECT_EQ(per_request.events()[i].id, bulk.events()[i].id) << i;
-    EXPECT_EQ(per_request.events()[i].type, bulk.events()[i].type) << i;
-  }
-  EXPECT_EQ(per_request.sampled_out_total(), bulk.sampled_out_total());
-}
-
 TEST(TracerCounters, SampleCountersEmitsSortedKeyOrder) {
   // Regression: the counter registry must iterate in sorted-key order (it
   // is a std::map) so counter samples land in the trace in a deterministic

@@ -287,18 +287,12 @@ TEST(TraceExport, LifecycleExportMatchesTheFourEventReference) {
       const auto records = reference_records(lifecycle);
       expected.insert(expected.end(), records.begin(), records.end());
     }
-    if (members == 1) {
+    for (const auto& request : requests) {
       tracer.record_request_lifecycle(
-          requests[0].id.value, requests[0].model, hw::NodeType(shared.node),
-          shared.mode, members, shared.spatial, shared.temporal,
-          requests[0].arrival_ms, shared.submit_ms, shared.start_ms, shared.end_ms,
-          shared.solo_ms, shared.interference_ms, shared.cold_ms);
-    } else {
-      tracer.record_batch_lifecycles(
-          requests.data(), members, models::ModelId(shared.model),
-          hw::NodeType(shared.node), shared.mode, members, shared.spatial,
-          shared.temporal, shared.submit_ms, shared.start_ms, shared.end_ms,
-          shared.solo_ms, shared.interference_ms, shared.cold_ms);
+          request.id.value, request.model, hw::NodeType(shared.node), shared.mode,
+          members, shared.spatial, shared.temporal, request.arrival_ms,
+          shared.submit_ms, shared.start_ms, shared.end_ms, shared.solo_ms,
+          shared.interference_ms, shared.cold_ms);
     }
   }
   // The seeds reach every case the reference distinguishes.

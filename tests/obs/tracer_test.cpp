@@ -194,91 +194,6 @@ TEST(TracerTest, EndDecisionWithoutBeginIsNoOp) {
   EXPECT_TRUE(tracer.decisions().empty());
 }
 
-TEST(TracerTest, BatchLifecyclesMatchPerRequestLoop) {
-  // The batch-completion path must store exactly the events of calling
-  // record_request_lifecycle once per member request.
-  std::vector<cluster::Request> requests;
-  for (int i = 0; i < 5; ++i) {
-    cluster::Request request;
-    request.id = RequestId{100 + i};
-    request.model = models::ModelId::kResNet50;
-    request.arrival_ms = 10.0 * i;
-    requests.push_back(request);
-  }
-  Tracer bulk;
-  bulk.record_batch_lifecycles(requests.data(), 5, models::ModelId::kResNet50,
-                               hw::NodeType::kG3s_xlarge,
-                               cluster::ShareMode::kTemporal, /*batch_size=*/5,
-                               /*spatial=*/0, /*temporal=*/5, /*submit_ms=*/60.0,
-                               /*start_ms=*/65.0, /*end_ms=*/160.0,
-                               /*solo_ms=*/85.0, /*interference_ms=*/10.0,
-                               /*cold_ms=*/3.0);
-  Tracer loop;
-  for (const auto& request : requests) {
-    loop.record_request_lifecycle(request.id.value, models::ModelId::kResNet50,
-                                  hw::NodeType::kG3s_xlarge,
-                                  cluster::ShareMode::kTemporal, 5, 0, 5,
-                                  request.arrival_ms, 60.0, 65.0, 160.0, 85.0,
-                                  10.0, 3.0);
-  }
-  ASSERT_EQ(bulk.events().size(), 5u);
-  ASSERT_EQ(loop.events().size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    const TraceEvent& a = bulk.events()[i];
-    const TraceEvent& b = loop.events()[i];
-    EXPECT_EQ(a.type, b.type) << i;
-    EXPECT_EQ(a.id, b.id) << i;
-    EXPECT_EQ(a.mode, b.mode) << i;
-    EXPECT_EQ(a.model, b.model) << i;
-    EXPECT_EQ(a.node, b.node) << i;
-    EXPECT_EQ(a.batch_size, b.batch_size) << i;
-    EXPECT_EQ(a.spatial, b.spatial) << i;
-    EXPECT_EQ(a.temporal, b.temporal) << i;
-    EXPECT_STREQ(a.name, b.name) << i;
-    EXPECT_DOUBLE_EQ(a.start_ms, b.start_ms) << i;
-    EXPECT_DOUBLE_EQ(a.submit_ms, b.submit_ms) << i;
-    EXPECT_DOUBLE_EQ(a.exec_start_ms, b.exec_start_ms) << i;
-    EXPECT_DOUBLE_EQ(a.end_ms, b.end_ms) << i;
-    EXPECT_DOUBLE_EQ(a.solo_ms, b.solo_ms) << i;
-    EXPECT_DOUBLE_EQ(a.interference_ms, b.interference_ms) << i;
-    EXPECT_DOUBLE_EQ(a.cold_ms, b.cold_ms) << i;
-  }
-  EXPECT_EQ(bulk.dropped_events(), loop.dropped_events());
-}
-
-TEST(TracerTest, BulkDropCountMatchesPerRequestAtOverflow) {
-  // At the ring cap, the bulk path must retain the identical event prefix
-  // and count the identical number of drops as the sequential path did.
-  std::vector<cluster::Request> requests;
-  for (int i = 0; i < 4; ++i) {
-    cluster::Request request;
-    request.id = RequestId{i};
-    request.model = models::ModelId::kResNet50;
-    request.arrival_ms = 1.0 * i;
-    requests.push_back(request);
-  }
-  TracerConfig config;
-  config.event_capacity = 10;  // room for 2 whole lifecycles + 2 units
-  Tracer bulk(config);
-  bulk.record_batch_lifecycles(requests.data(), 4, models::ModelId::kResNet50,
-                               hw::NodeType::kG3s_xlarge,
-                               cluster::ShareMode::kSpatial, 4, 4, 0, 5.0, 6.0,
-                               20.0, 12.0, 2.0, 0.0);
-  Tracer loop(config);
-  for (const auto& request : requests) {
-    loop.record_request_lifecycle(request.id.value, models::ModelId::kResNet50,
-                                  hw::NodeType::kG3s_xlarge,
-                                  cluster::ShareMode::kSpatial, 4, 4, 0,
-                                  request.arrival_ms, 5.0, 6.0, 20.0, 12.0, 2.0,
-                                  0.0);
-  }
-  EXPECT_EQ(bulk.events().size(), loop.events().size());
-  EXPECT_EQ(bulk.dropped_events(), loop.dropped_events());
-  ASSERT_EQ(bulk.events().size(), 2u);
-  EXPECT_EQ(bulk.dropped_events(), 8u);  // two lifecycles of 4 exported events
-  EXPECT_EQ(bulk.events()[1].id, loop.events()[1].id);
-}
-
 TEST(TracerTest, RunTraceAggregatesDrops) {
   RunTrace trace;
   trace.config.event_capacity = 4;  // one lifecycle per tracer

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 namespace paldia::perfmodel {
 namespace {
 
@@ -132,7 +135,9 @@ TEST_P(TmaxBounds, LowerBounds) {
   for (int y = 0; y <= n; y += std::max(1, n / 17)) {
     const double t = model.t_max_ms(p, y);
     EXPECT_GE(t, p.solo_ms * y / p.batch_size - 1e-9);
-    if (y < n) EXPECT_GE(t, p.solo_ms - 1e-9);
+    if (y < n) {
+      EXPECT_GE(t, p.solo_ms - 1e-9);
+    }
   }
 }
 
@@ -142,10 +147,20 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.2, 0.5, 0.9),
                        ::testing::Values(0.0, 0.2, 0.4)));
 
-// The analytic lower bound used by the pruned candidate sweep: for every y
-// in [0, N], t_max_lower_bound(point) <= t_max_ms(point, y). The pruning
-// exactness proof leans on exactly this inequality, so it gets the full
-// parameter sweep — including compute-bound points and nonzero beta.
+// Work-conserving floor of Eq. 1: Solo * min(N / BS, max(1, (N / BS) * q))
+// with q = max(FBR, compute). y = N drains N / BS batches back to back; for
+// y < N the concurrent term is at least Solo * max(1, S) because
+// stretch(S) >= S, so no split can beat the busiest resource's total demand.
+double work_floor_ms(const WorkloadPoint& p) {
+  if (p.n_requests <= 0) return 0.0;
+  const double batches = static_cast<double>(p.n_requests) / p.batch_size;
+  const double q = std::max(p.fbr, p.compute);
+  return p.solo_ms * std::min(batches, std::max(1.0, batches * q));
+}
+
+// T_max(y) never drops below the work-conserving floor, for every y in
+// [0, N], over the full parameter sweep — compute-bound points and nonzero
+// beta included.
 class TmaxLowerBound
     : public ::testing::TestWithParam<std::tuple<int, double, double, double>> {
 };
@@ -155,13 +170,13 @@ TEST_P(TmaxLowerBound, BelowEveryY) {
   TmaxModel model(beta);
   for (int bs : {1, 16, 64}) {
     WorkloadPoint p{n, bs, 80.0, fbr, 200.0, compute};
-    const double bound = model.t_max_lower_bound(p);
+    const double floor_ms = work_floor_ms(p);
     for (int y = 0; y <= n; y += std::max(1, n / 37)) {
-      EXPECT_LE(bound, model.t_max_ms(p, y) + 1e-9)
+      EXPECT_LE(floor_ms, model.t_max_ms(p, y) + 1e-9)
           << "n=" << n << " bs=" << bs << " fbr=" << fbr
           << " compute=" << compute << " beta=" << beta << " y=" << y;
     }
-    EXPECT_LE(bound, model.t_max_ms(p, n) + 1e-9);
+    EXPECT_LE(floor_ms, model.t_max_ms(p, n) + 1e-9);
   }
 }
 
@@ -171,22 +186,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.1, 0.5, 0.9, 1.4),
                        ::testing::Values(0.0, 0.3, 1.1),
                        ::testing::Values(0.0, 0.2, 0.4)));
-
-// Monotone in N (under bs = min(max_batch, N)): the node-level bound at the
-// fixed point's floor n_lb stays below the bound at any larger N — the
-// other half of the pruning proof.
-TEST(TmaxModel, LowerBoundMonotoneInN) {
-  TmaxModel model(0.2);
-  for (double fbr : {0.2, 0.7, 1.3}) {
-    double previous = 0.0;
-    for (int n = 1; n <= 2048; n = n * 2 + 1) {
-      WorkloadPoint p{n, std::min(64, n), 80.0, fbr, 200.0, 0.4};
-      const double bound = model.t_max_lower_bound(p);
-      EXPECT_GE(bound, previous - 1e-9) << "fbr=" << fbr << " n=" << n;
-      previous = bound;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace paldia::perfmodel

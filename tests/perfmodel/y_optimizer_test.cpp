@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace paldia::perfmodel {
@@ -28,7 +29,7 @@ TEST(YOptimizer, MatchesExhaustiveSearch) {
   TmaxModel model(0.3);
   YOptimizer optimizer(model);
   const WorkloadPoint p{700, 64, 90.0, 0.6, 200.0};
-  const auto decision = optimizer.best_split(p, /*max_probes=*/100'000);
+  const auto decision = optimizer.best_split(p);
 
   double best = 1e18;
   for (int y = 0; y <= p.n_requests; ++y) {
@@ -88,14 +89,25 @@ TEST(YOptimizer, NestedSweepInsidePoolTaskCompletes) {
 }
 
 TEST(YOptimizer, ProbeBudgetStillCoversRangeEnds) {
-  YOptimizer optimizer(TmaxModel(0.3));
+  // An optimal range of ~4,900 splits is strided down to the 256-probe
+  // budget; the strided optimum may be slightly worse than the exhaustive
+  // one but must stay within a few percent (the objective is piecewise
+  // smooth in y), and both ends of the range are always probed.
+  TmaxModel model(0.3);
+  YOptimizer optimizer(model);
   const WorkloadPoint p{5000, 64, 60.0, 0.7, 1e9};
-  const auto coarse = optimizer.best_split(p, /*max_probes=*/8);
-  const auto fine = optimizer.best_split(p, /*max_probes=*/100'000);
-  // Coarse probing may be slightly worse but must stay within a few percent
-  // (the objective is piecewise smooth in y).
-  EXPECT_LE(fine.t_max_ms, coarse.t_max_ms + 1e-9);
-  EXPECT_LT(coarse.t_max_ms, fine.t_max_ms * 1.10);
+  const auto range = model.optimal_range(p);
+  ASSERT_TRUE(range.has_value());
+  ASSERT_GT(range->second - range->first + 1, 256);
+  double exhaustive = model.t_max_ms(p, p.n_requests);
+  for (int y = 0; y <= p.n_requests; ++y) {
+    exhaustive = std::min(exhaustive, model.t_max_ms(p, y));
+  }
+  const auto strided = optimizer.best_split(p);
+  EXPECT_LE(exhaustive, strided.t_max_ms + 1e-9);
+  EXPECT_LT(strided.t_max_ms, exhaustive * 1.10);
+  EXPECT_LE(strided.t_max_ms, model.t_max_ms(p, range->first) + 1e-9);
+  EXPECT_LE(strided.t_max_ms, model.t_max_ms(p, range->second) + 1e-9);
 }
 
 TEST(YOptimizer, TieBreaksTowardLessQueueing) {

@@ -26,7 +26,6 @@
 //   --quiet             suppress the text report (use with --report-out)
 //
 // Unknown or malformed flags exit nonzero with the usage message.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -125,52 +124,10 @@ void print_decisions_echo(std::ostream& out, const std::string& path) {
   }
   std::size_t rows = 0;
   for (const char c : text) rows += c == '\n' ? 1 : 0;
-  // Sweep-work accounting (pool_size/evaluated/pruned columns): how much of
-  // Algorithm 1's candidate enumeration the pruned walk actually ran.
-  long long pool = 0, evaluated = 0, pruned = 0;
-  if (paldia::obs::format_for_path(path) == paldia::obs::ExportFormat::kCsv) {
-    if (rows > 0) --rows;  // header
-    std::istringstream lines(text);
-    std::string line;
-    std::vector<std::string> header;
-    int pool_col = -1, evaluated_col = -1, pruned_col = -1;
-    if (std::getline(lines, line)) {
-      std::istringstream cells(line);
-      std::string cell;
-      for (int i = 0; std::getline(cells, cell, ','); ++i) {
-        if (cell == "pool_size") pool_col = i;
-        if (cell == "evaluated") evaluated_col = i;
-        if (cell == "pruned") pruned_col = i;
-      }
-    }
-    while (pool_col >= 0 && std::getline(lines, line)) {
-      std::istringstream cells(line);
-      std::string cell;
-      for (int i = 0; i <= std::max({pool_col, evaluated_col, pruned_col}) &&
-                      std::getline(cells, cell, ',');
-           ++i) {
-        if (i == pool_col) pool += std::atoll(cell.c_str());
-        if (i == evaluated_col) evaluated += std::atoll(cell.c_str());
-        if (i == pruned_col) pruned += std::atoll(cell.c_str());
-      }
-    }
-  } else {
-    const auto parsed = paldia::common::parse_json_lines(text);
-    if (parsed.ok) {
-      for (const auto& row : parsed.rows) {
-        pool += static_cast<long long>(row.number_or("pool_size", 0.0));
-        evaluated += static_cast<long long>(row.number_or("evaluated", 0.0));
-        pruned += static_cast<long long>(row.number_or("pruned", 0.0));
-      }
-    }
-  }
+  const bool csv =
+      paldia::obs::format_for_path(path) == paldia::obs::ExportFormat::kCsv;
+  if (csv && rows > 0) --rows;  // header
   out << "decisions: " << path << " (" << rows << " rows)\n";
-  if (pool > 0) {
-    out << "  selection sweep: " << evaluated << " of " << pool
-        << " pool candidates evaluated, " << pruned << " pruned ("
-        << 100.0 * static_cast<double>(pruned) / static_cast<double>(pool)
-        << "% of sweep work saved)\n";
-  }
 }
 
 }  // namespace
