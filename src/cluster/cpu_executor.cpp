@@ -13,7 +13,7 @@ DurationMs CpuExecutor::busy_time_ms() const {
   return busy_time_ms_;
 }
 
-void CpuExecutor::submit(CpuJob job) {
+void CpuExecutor::submit(CpuJob&& job) {
   queue_.emplace_back(std::move(job), simulator_->now());
   start_next();
 }

@@ -25,7 +25,7 @@ class CpuExecutor {
  public:
   CpuExecutor(sim::Simulator& simulator, const hw::CpuSpec& spec, Rng rng);
 
-  void submit(CpuJob job);
+  void submit(CpuJob&& job);
   void fail_all();
 
   /// Multiplier (>= 1) applied to all executions; set by the host

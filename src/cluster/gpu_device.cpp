@@ -20,28 +20,26 @@ double GpuDevice::slowdown(double fbr_sum, double beta) {
 
 double GpuDevice::current_fbr_sum() const {
   double sum = 0.0;
-  for (const auto& resident : spatial_) sum += resident->job.fbr;
+  for (const auto& resident : spatial_) sum += resident.job.fbr;
   if (serial_running_) sum += serial_running_->job.fbr;
   return sum;
 }
 
 double GpuDevice::current_compute_sum() const {
   double sum = 0.0;
-  for (const auto& resident : spatial_) sum += resident->job.compute;
+  for (const auto& resident : spatial_) sum += resident.job.compute;
   if (serial_running_) sum += serial_running_->job.compute;
   return sum;
 }
 
-double GpuDevice::speed_of(const Resident& resident) const {
+GpuDevice::Speeds GpuDevice::speeds() const {
   const double compute_stretch = slowdown(current_compute_sum(), config_.beta);
-  if (resident.serial) {
-    // The time-shared lane has scheduling priority for bandwidth (it runs
-    // "exclusively" in the Eq. 1 sense) but cannot escape SM contention:
-    // compute is one physical pool.
-    return 1.0 / compute_stretch;
-  }
   const double bandwidth_stretch = slowdown(current_fbr_sum(), config_.beta);
-  return 1.0 / std::max(compute_stretch, bandwidth_stretch);
+  // The time-shared lane has scheduling priority for bandwidth (it runs
+  // "exclusively" in the Eq. 1 sense) but cannot escape SM contention:
+  // compute is one physical pool.
+  return Speeds{1.0 / std::max(compute_stretch, bandwidth_stretch),
+                1.0 / compute_stretch};
 }
 
 void GpuDevice::note_busy_transition() {
@@ -65,13 +63,14 @@ void GpuDevice::advance_to_now() {
   const DurationMs elapsed = now - last_advance_ms_;
   if (elapsed > 0.0) {
     // Speeds were constant since the last membership change, so one linear
-    // step is exact. speed_of() reads the *current* membership, which has
+    // step is exact. speeds() reads the *current* membership, which has
     // not changed since last_advance_ms_.
+    const Speeds speed = speeds();
     for (auto& resident : spatial_) {
-      resident->remaining_work_ms -= elapsed * speed_of(*resident);
+      resident.remaining_work_ms -= elapsed * speed.spatial;
     }
     if (serial_running_) {
-      serial_running_->remaining_work_ms -= elapsed * speed_of(*serial_running_);
+      serial_running_->remaining_work_ms -= elapsed * speed.serial;
     }
   }
   last_advance_ms_ = now;
@@ -79,14 +78,14 @@ void GpuDevice::advance_to_now() {
 
 void GpuDevice::reschedule_completion() {
   completion_event_.cancel();
+  if (!busy()) return;
+  const Speeds speed = speeds();
   double earliest = std::numeric_limits<double>::infinity();
   for (const auto& resident : spatial_) {
-    const double speed = speed_of(*resident);
-    earliest = std::min(earliest, resident->remaining_work_ms / speed);
+    earliest = std::min(earliest, resident.remaining_work_ms / speed.spatial);
   }
   if (serial_running_) {
-    earliest = std::min(earliest, serial_running_->remaining_work_ms /
-                                      speed_of(*serial_running_));
+    earliest = std::min(earliest, serial_running_->remaining_work_ms / speed.serial);
   }
   if (!std::isfinite(earliest)) return;
   earliest = std::max(earliest, 0.0);
@@ -97,20 +96,24 @@ void GpuDevice::reschedule_completion() {
 void GpuDevice::on_completion_event() {
   advance_to_now();
   // Collect all jobs whose work is (numerically) done. Several can finish at
-  // the same instant.
+  // the same instant. Finished spatial residents leave in lane order and the
+  // others close ranks in order, so every later sum runs in the same order.
   constexpr double kEpsilon = 1e-6;
-  std::vector<ResidentPtr> done;
-  for (const auto& resident : spatial_) {
-    if (resident->remaining_work_ms <= kEpsilon) done.push_back(resident);
+  auto kept = spatial_.begin();
+  for (auto& resident : spatial_) {
+    if (resident.remaining_work_ms <= kEpsilon) {
+      finished_.push_back(std::move(resident));
+    } else {
+      if (&*kept != &resident) *kept = std::move(resident);
+      ++kept;
+    }
   }
-  std::erase_if(spatial_, [&](const ResidentPtr& resident) {
-    return resident->remaining_work_ms <= kEpsilon;
-  });
+  spatial_.erase(kept, spatial_.end());
   if (serial_running_ && serial_running_->remaining_work_ms <= kEpsilon) {
-    done.push_back(serial_running_);
+    finished_.push_back(std::move(*serial_running_));
     serial_running_.reset();
   }
-  for (const auto& resident : done) finish(resident, /*failed=*/false);
+  finish_all(/*failed=*/false);
 
   start_next_serial();
   start_queued_spatial();
@@ -118,58 +121,63 @@ void GpuDevice::on_completion_event() {
   reschedule_completion();
 }
 
-void GpuDevice::finish(const ResidentPtr& resident, bool failed) {
-  ExecutionReport report;
-  report.submit_ms = resident->submit_ms;
-  report.start_ms = resident->start_ms;
-  report.end_ms = simulator_->now();
-  report.solo_ms = resident->total_work_ms;
-  report.failed = failed;
-  if (resident->job.on_complete) resident->job.on_complete(report);
+void GpuDevice::finish_all(bool failed) {
+  // The callbacks re-enter submit_spatial, so they run from a swapped-out
+  // list; its buffer comes back for the next completion.
+  std::vector<Resident> finished;
+  finished.swap(finished_);
+  for (auto& resident : finished) {
+    ExecutionReport report;
+    report.submit_ms = resident.job.submit_time_tag;
+    report.start_ms = resident.start_ms;
+    report.end_ms = simulator_->now();
+    report.solo_ms = resident.total_work_ms;
+    report.failed = failed;
+    if (resident.job.on_complete) resident.job.on_complete(report);
+  }
+  finished.clear();
+  finished_.swap(finished);
+}
+
+void GpuDevice::start(Resident& resident, GpuJob&& job) {
+  const double jitter = std::exp(rng_.normal(0.0, config_.jitter_sigma));
+  resident.start_ms = simulator_->now();
+  resident.total_work_ms = job.solo_ms * jitter + config_.launch_overhead_ms;
+  resident.remaining_work_ms = resident.total_work_ms;
+  resident.job = std::move(job);
 }
 
 void GpuDevice::start_next_serial() {
   if (serial_running_ || serial_queue_.empty()) return;
-  GpuJob job = std::move(serial_queue_.front());
+  start(serial_running_.emplace(), std::move(serial_queue_.front()));
   serial_queue_.pop_front();
-  auto resident = std::make_shared<Resident>();
-  const double jitter = std::exp(rng_.normal(0.0, config_.jitter_sigma));
-  resident->submit_ms = job.submit_time_tag;
-  resident->start_ms = simulator_->now();
-  resident->total_work_ms = job.solo_ms * jitter + config_.launch_overhead_ms;
-  resident->remaining_work_ms = resident->total_work_ms;
-  resident->serial = true;
-  resident->job = std::move(job);
-  serial_running_ = std::move(resident);
 }
 
 void GpuDevice::start_queued_spatial() {
   while (static_cast<int>(spatial_.size()) < config_.max_spatial_jobs &&
          !spatial_wait_queue_.empty()) {
-    GpuJob job = std::move(spatial_wait_queue_.front());
+    start(spatial_.emplace_back(), std::move(spatial_wait_queue_.front()));
     spatial_wait_queue_.pop_front();
-    auto resident = std::make_shared<Resident>();
-    const double jitter = std::exp(rng_.normal(0.0, config_.jitter_sigma));
-    resident->submit_ms = job.submit_time_tag;
-    resident->start_ms = simulator_->now();
-    resident->total_work_ms = job.solo_ms * jitter + config_.launch_overhead_ms;
-    resident->remaining_work_ms = resident->total_work_ms;
-    resident->serial = false;
-    resident->job = std::move(job);
-    spatial_.push_back(std::move(resident));
   }
 }
 
-void GpuDevice::submit_spatial(GpuJob job) {
+void GpuDevice::submit_spatial(GpuJob&& job) {
   advance_to_now();
   job.submit_time_tag = simulator_->now();
-  spatial_wait_queue_.push_back(std::move(job));
-  start_queued_spatial();
+  if (spatial_wait_queue_.empty() &&
+      static_cast<int>(spatial_.size()) < config_.max_spatial_jobs) {
+    // Room under the MPS limit and nobody waiting: start it in the lane
+    // directly (the queue would start it at once, with the same draw).
+    start(spatial_.emplace_back(), std::move(job));
+  } else {
+    spatial_wait_queue_.push_back(std::move(job));
+    start_queued_spatial();
+  }
   note_busy_transition();
   reschedule_completion();
 }
 
-void GpuDevice::submit_serial(GpuJob job) {
+void GpuDevice::submit_serial(GpuJob&& job) {
   advance_to_now();
   job.submit_time_tag = simulator_->now();
   serial_queue_.push_back(std::move(job));
@@ -180,13 +188,13 @@ void GpuDevice::submit_serial(GpuJob job) {
 
 void GpuDevice::fail_all() {
   advance_to_now();
-  std::vector<ResidentPtr> doomed = spatial_;
+  for (auto& resident : spatial_) finished_.push_back(std::move(resident));
   spatial_.clear();
   if (serial_running_) {
-    doomed.push_back(serial_running_);
+    finished_.push_back(std::move(*serial_running_));
     serial_running_.reset();
   }
-  for (const auto& resident : doomed) finish(resident, /*failed=*/true);
+  finish_all(/*failed=*/true);
 
   auto fail_queued = [this](std::deque<GpuJob>& queue) {
     for (auto& job : queue) {

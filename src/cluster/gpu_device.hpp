@@ -22,12 +22,16 @@
 // earliest completion event is rescheduled. Per-batch launch overhead and
 // a small lognormal execution jitter make the device a *ground truth* that
 // the scheduler's closed-form model (perfmodel/) only approximates — the
-// paper reports <4% model error, and tests/perfmodel_vs_device_test.cpp
+// paper reports <4% model error, and tests/perfmodel/model_vs_device_test.cpp
 // checks ours stays in that band.
+//
+// Residents are held by value (a vector for the spatial lane, an optional
+// slot for the serial lane), so a batch costs no allocation and its
+// completion callback is moved, never copied, from submission to its call.
 #pragma once
 
 #include <deque>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/cluster/request.hpp"
@@ -68,17 +72,17 @@ class GpuDevice {
 
   /// Launch a batch under MPS (spatial sharing). Runs immediately unless the
   /// MPS client limit is reached, in which case it waits in a spatial queue.
-  void submit_spatial(GpuJob job);
+  void submit_spatial(GpuJob&& job);
 
   /// Enqueue a batch on the time-shared lane (FIFO, exclusive execution).
-  void submit_serial(GpuJob job);
+  void submit_serial(GpuJob&& job);
 
   /// Abort everything in flight (node failure). Each job's callback fires
   /// with failed = true so the framework can re-queue the requests.
   void fail_all();
 
   int active_spatial_jobs() const { return static_cast<int>(spatial_.size()); }
-  bool busy() const { return !spatial_.empty() || serial_running_ != nullptr; }
+  bool busy() const { return !spatial_.empty() || serial_running_.has_value(); }
 
   /// Total bandwidth demand of everything resident right now.
   double current_fbr_sum() const;
@@ -100,21 +104,28 @@ class GpuDevice {
  private:
   struct Resident {
     GpuJob job;
-    TimeMs submit_ms = 0.0;
     TimeMs start_ms = 0.0;
     double remaining_work_ms = 0.0;  // in solo-speed ms
     double total_work_ms = 0.0;
-    bool serial = false;
   };
-  using ResidentPtr = std::shared_ptr<Resident>;
+  /// Progress rates of the two lanes under the current membership. Every
+  /// spatial resident shares one rate; the serial lane has its own.
+  struct Speeds {
+    double spatial = 0.0;
+    double serial = 0.0;
+  };
 
   void advance_to_now();
   void reschedule_completion();
   void on_completion_event();
   void start_next_serial();
   void start_queued_spatial();
-  double speed_of(const Resident& resident) const;
-  void finish(const ResidentPtr& resident, bool failed);
+  /// Starts `job` now in `resident`, a fresh lane slot: draws its jitter
+  /// and sizes its work.
+  void start(Resident& resident, GpuJob&& job);
+  Speeds speeds() const;
+  /// Fires the callbacks of finished_ (failed or not) and empties it.
+  void finish_all(bool failed);
   void note_busy_transition();
 
   sim::Simulator* simulator_;
@@ -122,10 +133,13 @@ class GpuDevice {
   Rng rng_;
   GpuDeviceConfig config_;
 
-  std::vector<ResidentPtr> spatial_;
+  std::vector<Resident> spatial_;
   std::deque<GpuJob> spatial_wait_queue_;
   std::deque<GpuJob> serial_queue_;
-  ResidentPtr serial_running_;
+  std::optional<Resident> serial_running_;
+  /// Residents whose work is done, waiting for their callbacks. Swapped out
+  /// while the callbacks run, since they re-enter submit_spatial.
+  std::vector<Resident> finished_;
 
   TimeMs last_advance_ms_ = 0.0;
   sim::EventHandle completion_event_;

@@ -68,8 +68,13 @@ void Framework::add_workload(models::ModelId model, trace::Trace trace) {
   Workload workload;
   workload.model = model;
   workload.trace = std::move(trace);
+  // Completions never exceed the routed requests, so a reservoir of that
+  // size (when below the default) keeps every record, as the default would.
+  const std::size_t capacity = static_cast<std::size_t>(
+      std::min<std::uint64_t>(telemetry::LatencyRecorder::kDefaultReservoirCapacity,
+                              workload.trace.total_requests()));
   workload.latency = std::make_unique<telemetry::LatencyRecorder>(
-      200'000, rng_.fork("latency-" + std::string(models::model_id_name(model))).seed());
+      capacity, rng_.fork("latency-" + std::string(models::model_id_name(model))).seed());
   workload.slo =
       std::make_unique<telemetry::SloTracker>(zoo_->spec(model).slo_ms);
   trace_end_ms_ = std::max(trace_end_ms_, workload.trace.duration_ms());
@@ -448,9 +453,6 @@ void Framework::complete_request(const cluster::Request& request,
   outcome.solo_ms = report.solo_ms;
   outcome.cold_start_ms = report.cold_start_ms;
   outcome.interference_ms = std::max(0.0, report.interference_ms());
-  outcome.queue_ms =
-      std::max(0.0, outcome.latency_ms - outcome.solo_ms - outcome.interference_ms -
-                        outcome.cold_start_ms);
   workload.latency->record(outcome);
   workload.slo->record_completion(request.arrival_ms, report.end_ms);
   std::optional<telemetry::ViolationCause> cause;

@@ -75,18 +75,20 @@ AttributionEngine::AttributionEngine(const models::Zoo& zoo, bool latency_gauges
 }
 
 std::optional<telemetry::ViolationCause> AttributionEngine::observe_request(
-    LifecycleSample sample) {
+    const LifecycleSample& sample) {
   const bool model_ok = sample.model >= 0 && sample.model < models::kModelCount;
-  sample.retried = retried_.count(sample.request_id) > 0;
-  sample.blackout = blackouts_.overlaps(sample.arrival_ms, sample.start_ms);
-
   const DurationMs latency = sample.end_ms - sample.arrival_ms;
   ++total_.completed;
   if (latency_) latency_->insert(latency);
 
   if (!model_ok || latency <= slo_ms_[sample.model]) return std::nullopt;
 
-  const ViolationCause cause = classify_violation(sample);
+  // Only a violator is classified, so only it needs the retry and blackout
+  // lookups (both const: compliant requests skipping them changes nothing).
+  LifecycleSample flagged = sample;
+  flagged.retried = retried_.count(sample.request_id) > 0;
+  flagged.blackout = blackouts_.overlaps(sample.arrival_ms, sample.start_ms);
+  const ViolationCause cause = classify_violation(flagged);
   const auto index = static_cast<std::size_t>(cause);
   ++total_.violations;
   ++total_.causes[index];

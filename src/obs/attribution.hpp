@@ -118,10 +118,11 @@ class AttributionEngine {
   /// (TracerConfig::timeline) calls sample(), so only it needs one.
   explicit AttributionEngine(const models::Zoo& zoo, bool latency_gauges = false);
 
-  /// One completed request. Fills the retried/blackout flags from engine
-  /// state, aggregates, and returns the root cause when the request
-  /// violated its SLO (nullopt = compliant).
-  std::optional<telemetry::ViolationCause> observe_request(LifecycleSample sample);
+  /// One completed request. Aggregates it and, when it violated its SLO,
+  /// returns the root cause (nullopt = compliant), classified from a copy
+  /// of `sample` whose retried/blackout flags come from engine state.
+  std::optional<telemetry::ViolationCause> observe_request(
+      const LifecycleSample& sample);
 
   /// A failed batch re-queued this request (its eventual completion is a
   /// retry, whatever its latency decomposition says).

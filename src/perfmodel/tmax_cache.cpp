@@ -2,37 +2,40 @@
 
 namespace paldia::perfmodel {
 
-std::size_t TmaxCache::KeyHash::operator()(const Key& key) const {
-  // FNV-1a over the packed fields; the key is small enough that quality
-  // beyond "spread the low bits" does not matter.
-  std::uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.model)));
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.node)) << 16);
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.n_requests)));
-  return static_cast<std::size_t>(hash);
-}
-
 SharingDecision TmaxCache::best_split(const YOptimizer& optimizer,
                                       models::ModelId model, hw::NodeType node,
                                       const WorkloadPoint& point) {
-  const Key key{static_cast<int>(model), hw::node_index(node), point.n_requests};
+  if (point.n_requests <= 0) return optimizer.best_split(point);
+  auto& rows = rows_[static_cast<std::size_t>(model)];
+  const auto node_at = static_cast<std::size_t>(hw::node_index(node));
+  if (node_at >= rows.size()) rows.resize(node_at + 1);
+  Row& row = rows[node_at];
+  const auto n_at = static_cast<std::size_t>(point.n_requests);
+  if (n_at >= row.size()) row.resize(n_at + 1);
+  Slot& slot = row[n_at];
+
   SharingDecision decision;
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
+  if (slot.y >= 0) {
     ++hits_;
-    decision.y = it->second.y;
-    decision.t_max_ms = it->second.t_max_ms;
+    decision.y = slot.y;
+    decision.t_max_ms = slot.t_max_ms;
     decision.feasible = decision.t_max_ms <= point.slo_ms;
     return decision;
   }
   ++misses_;
   decision = optimizer.best_split(point);
-  entries_.emplace(key, Value{decision.y, decision.t_max_ms});
+  slot = Slot{decision.y, decision.t_max_ms};
   return decision;
+}
+
+std::size_t TmaxCache::size() const {
+  std::size_t swept = 0;
+  for (const auto& rows : rows_) {
+    for (const Row& row : rows) {
+      for (const Slot& slot : row) swept += slot.y >= 0 ? 1 : 0;
+    }
+  }
+  return swept;
 }
 
 }  // namespace paldia::perfmodel

@@ -16,14 +16,21 @@
 // profile table and model/catalog specs are immutable for the lifetime of
 // the owning policy, and each policy owns its own cache.
 //
+// Storage is dense: one row per (node, model), indexed by N, so a lookup is
+// two array indexings instead of a hash. A row grows to the largest N
+// looked up on it (16 bytes per N; the gateway already holds that backlog at
+// 24 bytes per request), and y = -1 marks a slot not yet swept. N <= 0 has
+// nothing to sweep: it is answered by the optimizer and not counted.
+//
 // Not thread-safe, by contract: a cache is called only from the thread that
 // runs its policy's simulation (one policy per repetition or per fleet
 // endpoint). YOptimizer's pooled probes compute t_max values and never
 // touch the cache.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
@@ -55,28 +62,19 @@ class TmaxCache {
                              hw::NodeType node, const WorkloadPoint& point);
 
   TmaxCacheStats stats() const { return {hits_, misses_}; }
-  std::size_t size() const { return entries_.size(); }
+  /// Distinct (model, node, N) keys swept so far (counts the slots).
+  std::size_t size() const;
 
  private:
-  struct Key {
-    int model = 0;
-    int node = 0;
-    int n_requests = 0;
-
-    bool operator==(const Key& other) const {
-      return model == other.model && node == other.node &&
-             n_requests == other.n_requests;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-  struct Value {
-    int y = 0;
+  struct Slot {
+    int y = -1;  // -1: not yet swept
     DurationMs t_max_ms = 0.0;
   };
+  using Row = std::vector<Slot>;  // indexed by N
 
-  std::unordered_map<Key, Value, KeyHash> entries_;
+  /// rows_[model][node]; each model's node list grows to the largest node
+  /// index looked up for it.
+  std::array<std::vector<Row>, models::kModelCount> rows_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

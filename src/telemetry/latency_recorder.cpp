@@ -6,7 +6,7 @@ namespace paldia::telemetry {
 
 LatencyRecorder::LatencyRecorder(std::size_t reservoir_capacity, std::uint64_t seed)
     : reservoir_capacity_(reservoir_capacity), rng_(seed) {
-  reservoir_.reserve(std::min<std::size_t>(reservoir_capacity, 4096));
+  reservoir_.reserve(reservoir_capacity);
 }
 
 void LatencyRecorder::record(const RequestOutcome& outcome) {
@@ -39,7 +39,7 @@ TailBreakdown LatencyRecorder::breakdown_at(double quantile, double half_band) c
     if (outcome.latency_ms < lo_value || outcome.latency_ms > hi_value) continue;
     latency += outcome.latency_ms;
     solo += outcome.solo_ms;
-    queue += outcome.queue_ms;
+    queue += outcome.queue_ms();
     interference += outcome.interference_ms;
     cold += outcome.cold_start_ms;
     ++hits;
@@ -54,7 +54,7 @@ TailBreakdown LatencyRecorder::breakdown_at(double quantile, double half_band) c
         nearest = &outcome;
       }
     }
-    return TailBreakdown{nearest->latency_ms, nearest->solo_ms, nearest->queue_ms,
+    return TailBreakdown{nearest->latency_ms, nearest->solo_ms, nearest->queue_ms(),
                          nearest->interference_ms, nearest->cold_start_ms, 1};
   }
   const auto n = static_cast<double>(hits);

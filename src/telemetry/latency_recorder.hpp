@@ -6,8 +6,16 @@
 // under MPS contention), and cold start. Full distributions go into
 // bounded-memory histograms; a reservoir sample additionally retains whole
 // records so the tail (P99) breakdown plots can be reconstructed.
+//
+// A record is 32 bytes: queueing is what the other components leave of the
+// latency, so it is derived (RequestOutcome::queue_ms) rather than stored.
+// The reservoir is allocated once at its capacity; a caller that knows how
+// many requests can complete (Framework: the routed requests) passes that
+// bound when it is below the default, so the recorder keeps every record
+// without growing or over-allocating.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -20,9 +28,14 @@ namespace paldia::telemetry {
 struct RequestOutcome {
   DurationMs latency_ms = 0.0;       // completion - arrival
   DurationMs solo_ms = 0.0;          // isolated execution component
-  DurationMs queue_ms = 0.0;         // batching + lane + container waits
   DurationMs interference_ms = 0.0;  // MPS contention stretch
   DurationMs cold_start_ms = 0.0;    // container boot charged to the request
+
+  /// Batching + lane + container waits: the latency the other components
+  /// do not explain.
+  DurationMs queue_ms() const {
+    return std::max(0.0, latency_ms - solo_ms - interference_ms - cold_start_ms);
+  }
 };
 
 /// Mean component values of requests near a latency quantile.
@@ -37,7 +50,10 @@ struct TailBreakdown {
 
 class LatencyRecorder {
  public:
-  explicit LatencyRecorder(std::size_t reservoir_capacity = 200'000,
+  static constexpr std::size_t kDefaultReservoirCapacity = 200'000;
+
+  /// Reserves `reservoir_capacity` records up front.
+  explicit LatencyRecorder(std::size_t reservoir_capacity = kDefaultReservoirCapacity,
                            std::uint64_t seed = 0xdead'beef);
 
   void record(const RequestOutcome& outcome);

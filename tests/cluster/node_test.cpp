@@ -153,6 +153,74 @@ TEST(Node, GpuInterferenceFactorStretchesWork) {
   EXPECT_GT(report.end_ms - report.start_ms, base * 1.3);
 }
 
+// A completion callable that counts its moves and cannot be copied, so
+// every hand-off of the batch callback between Node::execute and its call
+// is a move this test sees.
+struct MoveCounter {
+  int* moves;
+  int* calls;
+
+  MoveCounter(int* moves_out, int* calls_out) : moves(moves_out), calls(calls_out) {}
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves), calls(other.calls) {
+    ++*moves;
+  }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+
+  void operator()(const ExecutionReport&) { ++*calls; }
+};
+
+struct CallbackCount {
+  int moves = 0;
+  int calls = 0;
+};
+
+// Runs one batch through `node` (after `prepare`) and counts the moves of
+// its callback from the execute() call to the callback's single call.
+template <typename Prepare>
+CallbackCount count_callback_moves(hw::NodeType type, ShareMode mode,
+                                   Prepare prepare) {
+  sim::Simulator simulator;
+  Node node(simulator, NodeId{0}, type, Rng(13));
+  prepare(node);
+  CallbackCount count;
+  ExecRequest r;
+  r.model = kModel;
+  r.batch_size = 8;
+  r.mode = mode;
+  r.on_complete = MoveCounter(&count.moves, &count.calls);
+  count.moves = 0;  // count from the hand-off to the node onwards
+  node.execute(std::move(r));
+  simulator.run_to_completion();
+  return count;
+}
+
+TEST(Node, BatchCallbackMovesAreBounded) {
+  const auto warm = [](Node& node) { node.spawn_container(kModel, true); };
+  const auto cold = [](Node& node) { node.spawn_container(kModel); };
+
+  const auto spatial =
+      count_callback_moves(hw::NodeType::kG3s_xlarge, ShareMode::kSpatial, warm);
+  EXPECT_EQ(spatial.calls, 1);
+  EXPECT_LE(spatial.moves, 5);
+
+  const auto waits_for_container =
+      count_callback_moves(hw::NodeType::kG3s_xlarge, ShareMode::kSpatial, cold);
+  EXPECT_EQ(waits_for_container.calls, 1);
+  EXPECT_LE(waits_for_container.moves, 8);
+
+  const auto serial =
+      count_callback_moves(hw::NodeType::kG3s_xlarge, ShareMode::kTemporal, warm);
+  EXPECT_EQ(serial.calls, 1);
+  EXPECT_LE(serial.moves, 6);
+
+  const auto cpu =
+      count_callback_moves(hw::NodeType::kC6i_4xlarge, ShareMode::kCpu, warm);
+  EXPECT_EQ(cpu.calls, 1);
+  EXPECT_LE(cpu.moves, 7);
+}
+
 TEST(Node, PerModelContainerIsolation) {
   sim::Simulator simulator;
   Node node(simulator, NodeId{0}, hw::NodeType::kG3s_xlarge, Rng(12));

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "src/common/rng.hpp"
 #include "src/telemetry/cost_tracker.hpp"
 #include "src/telemetry/latency_recorder.hpp"
 #include "src/telemetry/metrics.hpp"
@@ -13,7 +20,7 @@ namespace {
 TEST(LatencyRecorder, RecordsBasicStats) {
   LatencyRecorder recorder;
   for (int i = 1; i <= 100; ++i) {
-    recorder.record({static_cast<double>(i), 10.0, 1.0, 0.5, 0.0});
+    recorder.record({static_cast<double>(i), 10.0, 0.5, 0.0});
   }
   EXPECT_EQ(recorder.count(), 100u);
   EXPECT_NEAR(recorder.mean_ms(), 50.5, 1.0);
@@ -24,8 +31,8 @@ TEST(LatencyRecorder, TailBreakdownAttributesComponents) {
   LatencyRecorder recorder;
   // 99% fast requests dominated by solo time; 1% slow ones dominated by
   // queueing — the P99 breakdown must be queue-heavy.
-  for (int i = 0; i < 9'900; ++i) recorder.record({50.0, 45.0, 5.0, 0.0, 0.0});
-  for (int i = 0; i < 100; ++i) recorder.record({500.0, 45.0, 450.0, 5.0, 0.0});
+  for (int i = 0; i < 9'900; ++i) recorder.record({50.0, 45.0, 0.0, 0.0});
+  for (int i = 0; i < 100; ++i) recorder.record({500.0, 45.0, 5.0, 0.0});
   const auto breakdown = recorder.breakdown_at(0.995);
   EXPECT_GT(breakdown.queue_ms, breakdown.solo_ms);
   EXPECT_GT(breakdown.samples, 0u);
@@ -35,7 +42,7 @@ TEST(LatencyRecorder, TailBreakdownAttributesComponents) {
 TEST(LatencyRecorder, ReservoirBoundsMemory) {
   LatencyRecorder recorder(/*reservoir_capacity=*/1000);
   for (int i = 0; i < 100'000; ++i) {
-    recorder.record({static_cast<double>(i % 200), 10.0, 1.0, 0.0, 0.0});
+    recorder.record({static_cast<double>(i % 200), 10.0, 0.0, 0.0});
   }
   EXPECT_EQ(recorder.count(), 100'000u);
   const auto breakdown = recorder.breakdown_at(0.5, 0.1);
@@ -45,10 +52,135 @@ TEST(LatencyRecorder, ReservoirBoundsMemory) {
 
 TEST(LatencyRecorder, CdfExport) {
   LatencyRecorder recorder;
-  for (int i = 0; i < 1000; ++i) recorder.record({static_cast<double>(i), 0, 0, 0, 0});
+  for (int i = 0; i < 1000; ++i) recorder.record({static_cast<double>(i), 0, 0, 0});
   const auto cdf = recorder.cdf();
   ASSERT_FALSE(cdf.empty());
   EXPECT_NEAR(cdf.back().second, 1.0, 1e-12);
+}
+
+// The recorder as it was with whole five-field records: the queue component
+// is computed at record time, with the formula complete_request used, and
+// stored. Same histogram, same reservoir draws, same band scan.
+class FullRecordReference {
+ public:
+  FullRecordReference(std::size_t capacity, std::uint64_t seed)
+      : capacity_(capacity), rng_(seed) {}
+
+  void record(const RequestOutcome& outcome) {
+    e2e_.add(outcome.latency_ms);
+    ++seen_;
+    const Record record{outcome.latency_ms, outcome.solo_ms,
+                        std::max(0.0, outcome.latency_ms - outcome.solo_ms -
+                                          outcome.interference_ms -
+                                          outcome.cold_start_ms),
+                        outcome.interference_ms, outcome.cold_start_ms};
+    if (records_.size() < capacity_) {
+      records_.push_back(record);
+    } else {
+      const auto slot = static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(seen_) - 1));
+      if (slot < capacity_) records_[slot] = record;
+    }
+  }
+
+  TailBreakdown breakdown_at(double quantile, double half_band) const {
+    const double lo = e2e_.quantile(std::clamp(quantile - half_band, 0.0, 1.0));
+    const double hi = e2e_.quantile(std::clamp(quantile + half_band, 0.0, 1.0));
+    double latency = 0, solo = 0, queue = 0, interference = 0, cold = 0;
+    std::size_t hits = 0;
+    for (const auto& record : records_) {
+      if (record.latency < lo || record.latency > hi) continue;
+      latency += record.latency;
+      solo += record.solo;
+      queue += record.queue;
+      interference += record.interference;
+      cold += record.cold;
+      ++hits;
+    }
+    if (hits == 0) {
+      const double target = e2e_.quantile(quantile);
+      const Record* nearest = &records_.front();
+      for (const auto& record : records_) {
+        if (std::abs(record.latency - target) < std::abs(nearest->latency - target)) {
+          nearest = &record;
+        }
+      }
+      return TailBreakdown{nearest->latency, nearest->solo, nearest->queue,
+                           nearest->interference, nearest->cold, 1};
+    }
+    const auto n = static_cast<double>(hits);
+    return TailBreakdown{latency / n, solo / n, queue / n, interference / n,
+                         cold / n, hits};
+  }
+
+ private:
+  struct Record {
+    double latency, solo, queue, interference, cold;
+  };
+  Histogram e2e_;
+  std::vector<Record> records_;
+  std::size_t capacity_;
+  std::uint64_t seen_ = 0;
+  Rng rng_;
+};
+
+std::uint64_t bits(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof(out));
+  return out;
+}
+
+void expect_same_breakdown(const TailBreakdown& got, const TailBreakdown& want,
+                           const std::string& where) {
+  EXPECT_EQ(bits(got.latency_ms), bits(want.latency_ms)) << where;
+  EXPECT_EQ(bits(got.solo_ms), bits(want.solo_ms)) << where;
+  EXPECT_EQ(bits(got.queue_ms), bits(want.queue_ms)) << where;
+  EXPECT_EQ(bits(got.interference_ms), bits(want.interference_ms)) << where;
+  EXPECT_EQ(bits(got.cold_start_ms), bits(want.cold_start_ms)) << where;
+  EXPECT_EQ(got.samples, want.samples) << where;
+}
+
+// The 32-byte records derive the queue component when read; the breakdown
+// must equal the one over stored five-field records bit for bit, below the
+// reservoir's capacity (every record kept) and far past it (sampled).
+TEST(LatencyRecorder, BreakdownMatchesFullRecordReference) {
+  struct Case {
+    std::size_t capacity;
+    int records;
+  };
+  for (const Case c : {Case{200'000, 20'000}, Case{1'000, 100'000}}) {
+    constexpr std::uint64_t kSeed = 0x5eed'1a7e;
+    LatencyRecorder recorder(c.capacity, kSeed);
+    FullRecordReference reference(c.capacity, kSeed);
+    Rng rng(0xb7ea'4d0c + c.capacity);
+    for (int i = 0; i < c.records; ++i) {
+      RequestOutcome outcome;
+      outcome.solo_ms = rng.uniform(5.0, 60.0);
+      outcome.interference_ms = rng.bernoulli(0.3) ? rng.exponential(0.05) : 0.0;
+      outcome.cold_start_ms = rng.bernoulli(0.01) ? rng.uniform(900.0, 1500.0) : 0.0;
+      const double queue = rng.exponential(1.0 / 40.0);
+      outcome.latency_ms = outcome.solo_ms + outcome.interference_ms +
+                           outcome.cold_start_ms + queue;
+      // Some requests finish faster than their components add up to; their
+      // queue component clamps at zero.
+      if (rng.bernoulli(0.05)) outcome.latency_ms = outcome.solo_ms * 0.9;
+      recorder.record(outcome);
+      reference.record(outcome);
+    }
+    ASSERT_EQ(recorder.count(), static_cast<std::uint64_t>(c.records));
+    const std::string label = "capacity " + std::to_string(c.capacity);
+    for (const double q : {0.5, 0.99, 0.995}) {
+      const auto want = reference.breakdown_at(q, 0.005);
+      ASSERT_GT(want.samples, 1u) << label << " q " << q;
+      expect_same_breakdown(recorder.breakdown_at(q), want,
+                            label + " q " + std::to_string(q));
+    }
+    // A band too narrow to hold a record takes the nearest-record fallback.
+    const auto want = reference.breakdown_at(0.99, 0.0);
+    ASSERT_EQ(want.samples, 1u) << label;
+    expect_same_breakdown(recorder.breakdown_at(0.99, 0.0), want,
+                          label + " nearest record");
+  }
 }
 
 TEST(SloTracker, ComplianceCounting) {
