@@ -143,6 +143,7 @@ RunResult extract_run_metrics(core::Framework& framework,
     combined_breakdown.interference_ms +=
         metrics.p99_breakdown.interference_ms * weight;
     combined_breakdown.cold_start_ms += metrics.p99_breakdown.cold_start_ms * weight;
+    combined_breakdown.samples += metrics.p99_breakdown.samples;
     total_requests += latency.count();
     total_compliant += slo.compliant();
     total_completed += slo.total();
@@ -166,12 +167,15 @@ RunResult extract_run_metrics(core::Framework& framework,
   combined.p95_latency_ms = merged_percentiles[1];
   combined.p99_latency_ms = merged_percentiles[2];
   if (total_requests > 0) {
+    // Components are request-weighted means of the workloads' tail
+    // breakdowns; samples counts the tail samples those breakdowns averaged,
+    // as it does in a workload row.
     const auto weight = static_cast<double>(total_requests);
     combined.p99_breakdown = telemetry::TailBreakdown{
         combined_breakdown.latency_ms / weight, combined_breakdown.solo_ms / weight,
         combined_breakdown.queue_ms / weight,
         combined_breakdown.interference_ms / weight,
-        combined_breakdown.cold_start_ms / weight, total_requests};
+        combined_breakdown.cold_start_ms / weight, combined_breakdown.samples};
   }
 
   telemetry::CostTracker cost(cluster);

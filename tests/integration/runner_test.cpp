@@ -213,6 +213,32 @@ TEST(Runner, SweepWorkDoesNotDependOnTheTracer) {
   EXPECT_EQ(rows(traced), rows(untraced));
 }
 
+TEST(Runner, CombinedRowCountsTheTailSamplesItAverages) {
+  // p99_breakdown.samples is the number of tail samples a breakdown
+  // averages, in a workload row and in the row extract_run_metrics combines
+  // (the sum of its workloads'). A single-workload run exports the same
+  // count in both rows, not the request count in the combined one.
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance());
+  const auto scenario = short_scenario(models::ModelId::kResNet50, 120.0, seconds(30));
+  const auto result = runner.run_once(scenario, SchemeId::kPaldia, 5);
+  ASSERT_EQ(result.per_workload.size(), 1u);
+  const auto& workload_row = result.per_workload.front();
+  EXPECT_GT(workload_row.p99_breakdown.samples, 0u);
+  EXPECT_LT(workload_row.p99_breakdown.samples, workload_row.requests);
+
+  const auto exported_samples = [](const telemetry::RunMetrics& row) {
+    std::ostringstream out;
+    obs::MetricsWriter writer(out, obs::ExportFormat::kJsonl);
+    writer.write(row);
+    const std::string line = out.str();
+    const auto at = line.find("\"samples\":");
+    return at == std::string::npos ? std::string()
+                                   : line.substr(at, line.find('}', at) - at);
+  };
+  EXPECT_FALSE(exported_samples(workload_row).empty());
+  EXPECT_EQ(exported_samples(result.combined), exported_samples(workload_row));
+}
+
 TEST(SchemeFactory, BuildsEveryScheme) {
   models::ProfileTable profile(hw::Catalog::instance());
   SchemeFactory factory(models::Zoo::instance(), hw::Catalog::instance(), profile);
