@@ -61,7 +61,6 @@ Fleet::Fleet(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
         std::to_string(std::max(cpus, gpus)) + " endpoints");
   }
   endpoints_.reserve(static_cast<std::size_t>(config.endpoints));
-  obs::Profiler* sim_profiler = nullptr;
   for (int e = 0; e < config.endpoints; ++e) {
     Endpoint endpoint;
     endpoint.id = e;
@@ -75,8 +74,12 @@ Fleet::Fleet(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
     endpoint.catalog = std::make_unique<hw::Catalog>(std::move(specs));
     endpoint.profile = std::make_unique<models::ProfileTable>(*endpoint.catalog);
 
+    // Endpoints share no mutable state and schedule only their own events,
+    // so each drains its own partition in the order one shared queue would
+    // give it.
+    sim::Simulator& partition = simulator.add_partition();
     endpoint.cluster = std::make_unique<cluster::Cluster>(
-        simulator, rng.fork("fleet-cluster-" + std::to_string(e)), zoo,
+        partition, rng.fork("fleet-cluster-" + std::to_string(e)), zoo,
         *endpoint.catalog, config_.cluster);
 
     FrameworkConfig framework_config = config_.framework;
@@ -87,20 +90,14 @@ Fleet::Fleet(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
       framework_config.initial_node = endpoint.catalog->by_cost_ascending().front();
     }
     if (configure) configure(e, *endpoint.catalog, framework_config);
-    if (sim_profiler == nullptr) sim_profiler = framework_config.profiler;
 
     endpoint.framework = std::make_unique<Framework>(
-        simulator, *endpoint.cluster,
+        partition, *endpoint.cluster,
         make_policy(e, *endpoint.catalog, *endpoint.profile),
         rng.fork("fleet-framework-" + std::to_string(e)), zoo,
         framework_config);
     endpoints_.push_back(std::move(endpoint));
   }
-  // Each Framework ctor re-points the shared simulator's drain-phase
-  // profiler at its own slot (last endpoint wins); pin it to the first
-  // endpoint that has one so the self-profile lands in one deterministic
-  // place.
-  simulator.set_profiler(sim_profiler);
 }
 
 Fleet::~Fleet() = default;

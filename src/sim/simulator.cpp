@@ -1,6 +1,7 @@
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "src/obs/profiler.hpp"
@@ -12,7 +13,23 @@ EventHandle Simulator::schedule_in(DurationMs delay, EventFn fn) {
 }
 
 EventHandle Simulator::schedule_at(TimeMs t, EventFn fn) {
+  require_unpartitioned();
   return queue_.schedule(std::max(t, now_), std::move(fn));
+}
+
+void Simulator::require_unpartitioned() const {
+  if (!partitions_.empty()) [[unlikely]] {
+    throw std::logic_error(
+        "sim::Simulator: a simulator with partitions schedules no events");
+  }
+}
+
+Simulator& Simulator::add_partition() {
+  if (!queue_.empty()) {
+    throw std::logic_error(
+        "sim::Simulator::add_partition: events are pending on the parent");
+  }
+  return *partitions_.emplace_back(std::make_unique<Simulator>());
 }
 
 void Simulator::PeriodicHandle::cancel() {
@@ -52,6 +69,7 @@ bool Simulator::cancel_periodic(std::uint32_t index, std::uint32_t generation) {
 Simulator::PeriodicHandle Simulator::schedule_repeating(TimeMs start,
                                                         DurationMs period,
                                                         RepeatFn fn) {
+  require_unpartitioned();
   const std::uint32_t index = acquire_periodic_slot();
   PeriodicTask& task = periodic_[index];
   task.fn = std::move(fn);
@@ -99,14 +117,31 @@ TimeMs Simulator::drain(TimeMs until) {
 }
 
 TimeMs Simulator::run_until(TimeMs until) {
+  for (const auto& partition : partitions_) partition->run_until(until);
   drain(until);
   now_ = std::max(now_, until);
   return now_;
 }
 
-TimeMs Simulator::run_to_completion() { return drain(kTimeNever); }
+TimeMs Simulator::run_to_completion() {
+  TimeMs end = now_;
+  for (const auto& partition : partitions_) {
+    end = std::max(end, partition->run_to_completion());
+  }
+  end = std::max(end, drain(kTimeNever));
+  // Brings every partition's clock to the last event fired anywhere, where
+  // one shared queue would have left it.
+  return run_until(end);
+}
+
+std::size_t Simulator::events_processed() const {
+  std::size_t total = events_processed_;
+  for (const auto& partition : partitions_) total += partition->events_processed();
+  return total;
+}
 
 void Simulator::reset() {
+  for (const auto& partition : partitions_) partition->reset();
   queue_.clear();
   // Retire every periodic slot without restarting generations, so handles
   // from before the reset cannot cancel series scheduled after it.
