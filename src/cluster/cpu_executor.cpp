@@ -14,26 +14,34 @@ DurationMs CpuExecutor::busy_time_ms() const {
 }
 
 void CpuExecutor::submit(CpuJob&& job) {
+  if (!running_ && queue_.empty()) {
+    // Idle and nobody waiting: start it directly (the queue would start it
+    // at once, with the same draw).
+    start(std::move(job), simulator_->now());
+    return;
+  }
   queue_.emplace_back(std::move(job), simulator_->now());
   start_next();
 }
 
-void CpuExecutor::start_next() {
-  if (running_ || queue_.empty()) return;
-  auto [job, submit_ms] = std::move(queue_.front());
-  queue_.pop_front();
-
-  auto running = std::make_unique<Running>();
-  running->submit_ms = submit_ms;
-  running->start_ms = simulator_->now();
+void CpuExecutor::start(CpuJob&& job, TimeMs submit_ms) {
+  Running& running = running_.emplace();
+  running.submit_ms = submit_ms;
+  running.start_ms = simulator_->now();
   const double jitter = std::exp(rng_.normal(0.0, jitter_sigma_));
-  running->work_ms = job.solo_ms * jitter * interference_factor_;
-  running->job = std::move(job);
-  running_ = std::move(running);
+  running.work_ms = job.solo_ms * jitter * interference_factor_;
+  running.job = std::move(job);
   busy_since_ms_ = simulator_->now();
 
   completion_event_ = simulator_->schedule_in(
-      running_->work_ms, [this] { complete_running(); });
+      running.work_ms, [this] { complete_running(); });
+}
+
+void CpuExecutor::start_next() {
+  if (running_ || queue_.empty()) return;
+  auto& [job, submit_ms] = queue_.front();
+  start(std::move(job), submit_ms);
+  queue_.pop_front();
 }
 
 void CpuExecutor::complete_running() {

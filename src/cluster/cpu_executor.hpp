@@ -6,7 +6,8 @@
 #pragma once
 
 #include <deque>
-#include <memory>
+#include <optional>
+#include <utility>
 
 #include "src/cluster/request.hpp"
 #include "src/common/rng.hpp"
@@ -33,7 +34,7 @@ class CpuExecutor {
   void set_interference_factor(double factor) { interference_factor_ = factor; }
   double interference_factor() const { return interference_factor_; }
 
-  bool busy() const { return running_ != nullptr; }
+  bool busy() const { return running_.has_value(); }
   int queued_jobs() const { return static_cast<int>(queue_.size()); }
   DurationMs busy_time_ms() const;
 
@@ -45,6 +46,8 @@ class CpuExecutor {
     DurationMs work_ms = 0.0;
   };
 
+  /// Start `job` now: draws its jitter and arms its completion.
+  void start(CpuJob&& job, TimeMs submit_ms);
   void start_next();
   void complete_running();
 
@@ -55,7 +58,7 @@ class CpuExecutor {
   double jitter_sigma_ = 0.03;
 
   std::deque<std::pair<CpuJob, TimeMs>> queue_;  // (job, submit time)
-  std::unique_ptr<Running> running_;
+  std::optional<Running> running_;
   sim::EventHandle completion_event_;
 
   DurationMs busy_time_ms_ = 0.0;

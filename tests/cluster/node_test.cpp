@@ -218,7 +218,7 @@ TEST(Node, BatchCallbackMovesAreBounded) {
   const auto cpu =
       count_callback_moves(hw::NodeType::kC6i_4xlarge, ShareMode::kCpu, warm);
   EXPECT_EQ(cpu.calls, 1);
-  EXPECT_LE(cpu.moves, 7);
+  EXPECT_LE(cpu.moves, 4);
 }
 
 TEST(Node, PerModelContainerIsolation) {
