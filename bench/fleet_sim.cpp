@@ -1,8 +1,8 @@
 // Multi-gateway fleet simulation driver: E serving endpoints (gateways)
-// over a sliced generated catalog, one shared simulator, millions of
-// requests end-to-end. Default load: --catalog=gen:256 --endpoints=64 with
-// a ~1.2M-request Poisson trace routed across the gateways by the
-// deterministic splitmix64 router.
+// over a sliced generated catalog, each draining its own event-queue
+// partition, millions of requests end-to-end. Default load:
+// --catalog=gen:256 --endpoints=64 with a ~1.2M-request Poisson trace routed
+// across the gateways by the deterministic splitmix64 router.
 //
 // All exports (--trace-out / --metrics-out / --decisions-out / --rollup-out
 // / --alerts-out / --report-out) are byte-identical across --threads; the
@@ -73,7 +73,9 @@ FleetFlags parse_fleet_flags(int argc, char** argv) {
           "  --scheme=NAME  paldia|infless-cost|infless-perf|molecule-cost|\n"
           "                 molecule-perf (default paldia)\n"
           "Fleet defaults for the shared flags: --catalog=gen:256 "
-          "--endpoints=64\n\n");
+          "--endpoints=64\n"
+          "Each endpoint drains its own partition of the event queue; one\n"
+          "run_until takes every partition to the same simulated time.\n\n");
     }
   }
   return flags;

@@ -1,11 +1,17 @@
 // Multi-gateway fleet simulation: E independent serving loops (endpoints)
-// over one shared simulator and one global node catalog. Each endpoint owns
-// a gateway + scheduler policy + autoscaler + trackers over a small *slice*
-// of the catalog (at most hw::kNodeTypeCount nodes, so every fixed-size
-// telemetry path keeps working), and all endpoints advance in lockstep
-// through the shared event queue — one run_until drives the whole fleet.
+// over one global node catalog. Each endpoint owns a gateway + scheduler
+// policy + autoscaler + trackers over a small *slice* of the catalog (at
+// most hw::kNodeTypeCount nodes, so every fixed-size telemetry path keeps
+// working) and runs on its own partition of the caller's simulator
+// (sim::Simulator::add_partition): one run_until on that simulator drains
+// every endpoint to the same time.
 //
 // Determinism contract:
+//   * Endpoints share no mutable state, and each drains its own partition:
+//     an endpoint's events are scheduled only by its own callbacks, so they
+//     fire in the (time, sequence) order and at the now() one shared queue
+//     would give them. Only the host-time interleaving of endpoints
+//     differs, and nothing reads it.
 //   * Request ids are globally unique across gateways: endpoint e's
 //     IdAllocator tags every id with e in the high bits
 //     (cluster::IdAllocator), so tracing, sampling and attribution never
@@ -58,6 +64,8 @@ class Fleet {
   using ConfigureFn = std::function<void(int endpoint, const hw::Catalog& slice,
                                          FrameworkConfig&)>;
 
+  /// Adds one partition to `simulator` per endpoint, so `simulator` must
+  /// have no events pending and schedules none of its own afterwards.
   /// Throws std::invalid_argument when an endpoint's slice is empty (more
   /// endpoints than the catalog's CPU or GPU nodes; see
   /// FleetConfig::endpoints).
@@ -75,8 +83,9 @@ class Fleet {
   /// Every endpoint serves the model (possibly with an all-zero trace).
   void add_workload(models::ModelId model, const trace::Trace& global_trace);
 
-  /// Run every endpoint to completion over the shared simulator; returns
-  /// the simulated end time.
+  /// Arm every endpoint, drain all of their partitions to hard_end() with
+  /// one run_until on the simulator given to the constructor, and finish
+  /// every endpoint; returns the simulated end time.
   TimeMs run();
 
   /// Latest hard drain deadline across endpoints. Valid after

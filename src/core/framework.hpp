@@ -118,13 +118,14 @@ class Framework {
 
   /// Run the experiment to completion (trace + drain). Returns the
   /// simulated end time. Equivalent to begin_run(); run_until(hard_end());
-  /// finish_run(end) — fleets use the split form so many endpoints share
-  /// one run_until.
+  /// finish_run(end) — fleets use the split form so that one run_until
+  /// drains every endpoint's partition.
   TimeMs run();
 
   /// Arm the experiment without advancing time: initial node + prewarm,
   /// trace injections, tracker/tick scheduling. The caller then drives the
-  /// shared simulator (to at least hard_end()) and calls finish_run().
+  /// simulator (this framework's, or the parent it is a partition of) to
+  /// at least hard_end() and calls finish_run().
   void begin_run();
 
   /// Latest simulated time this run can produce events for (trace end plus

@@ -1,6 +1,7 @@
 // Unit tests for the core::Fleet coordinator: catalog slicing, the
-// deterministic splitmix64 request router, endpoint slices, and workload
-// splitting (request conservation across per-endpoint sub-traces). The
+// deterministic splitmix64 request router, endpoint slices, workload
+// splitting (request conservation across per-endpoint sub-traces) and the
+// per-endpoint event partitions. The
 // end-to-end fleet byte-identity contract lives in the integration suite.
 #include "src/core/fleet.hpp"
 
@@ -167,6 +168,36 @@ TEST(Fleet, AddWorkloadConservesRequestsAcrossEndpoints) {
   EXPECT_EQ(sum, global.total_requests());
   // ~12k arrivals over 6 endpoints: the router must spread the load.
   EXPECT_EQ(endpoints_with_traffic, fleet.endpoint_count());
+}
+
+TEST(Fleet, EndpointsDrainTheirOwnPartitions) {
+  sim::Simulator simulator;
+  const hw::Catalog catalog = generated(32);
+  FleetConfig config;
+  config.endpoints = 4;
+  Fleet fleet(simulator, Rng(17), models::Zoo::instance(), catalog, config,
+              paldia_factory(models::Zoo::instance()));
+  trace::PoissonOptions poisson;
+  poisson.duration_ms = 10'000.0;
+  poisson.mean_rps = 100.0;
+  poisson.seed = 9;
+  fleet.add_workload(models::ModelId::kResNet50,
+                     trace::make_poisson_trace(poisson));
+  std::set<const sim::Simulator*> partitions;
+  for (int e = 0; e < fleet.endpoint_count(); ++e) {
+    const sim::Simulator* partition = &fleet.cluster(e).simulator();
+    EXPECT_NE(partition, &simulator) << "endpoint " << e;
+    EXPECT_TRUE(partitions.insert(partition).second) << "endpoint " << e;
+  }
+  const TimeMs end = fleet.run();
+  std::size_t endpoint_events = 0;
+  for (int e = 0; e < fleet.endpoint_count(); ++e) {
+    const sim::Simulator& partition = fleet.cluster(e).simulator();
+    EXPECT_GT(partition.events_processed(), 0u) << "endpoint " << e;
+    EXPECT_EQ(partition.now(), end) << "endpoint " << e;
+    endpoint_events += partition.events_processed();
+  }
+  EXPECT_EQ(simulator.events_processed(), endpoint_events);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Fleet-scale determinism contract: a multi-endpoint FleetSim run — E
-// gateways over a sliced generated catalog, one shared simulator — must
+// gateways over a sliced generated catalog, each on its own event-queue
+// partition — must
 // produce byte-identical exports (Chrome trace, metrics rows, decision log,
 // analysis report) with and without a thread pool parallelizing the probes
 // of the policies' Eq. 1 y-sweeps. This is the test-suite twin of the CI

@@ -13,7 +13,9 @@ Each side runs the same driver invocations in its own directory:
   fleet16   a 4-endpoint fleet over gen:16 with all six streams on,
             lifecycles sampled 1-in-8
   fleet     the default fleet_sim (gen:256, 64 endpoints, 1.2M requests)
-            with metrics, report and decisions
+            with the five streams perfbench's fleet-poisson-obs writes
+            (metrics, report, decisions, rollup and alerts, lifecycles
+            sampled 1-in-64)
   fig03     fig03_slo_vision --reps=1 --metrics-out
 
 Every output file and each driver's stdout are compared byte for byte,
@@ -48,8 +50,9 @@ CASES = [
       "--decisions-out=decisions.jsonl", "--report-out=report.json",
       "--rollup-out=rollup.jsonl", "--alerts-out=alerts.jsonl"]),
     ("fleet", "fleet_sim",
-     ["--metrics-out=metrics.jsonl", "--report-out=report.json",
-      "--decisions-out=decisions.jsonl"]),
+     ["--sample-rate=64", "--metrics-out=metrics.jsonl",
+      "--report-out=report.json", "--decisions-out=decisions.jsonl",
+      "--rollup-out=rollup.jsonl", "--alerts-out=alerts.jsonl"]),
     ("fig03", "fig03_slo_vision", ["--reps=1", "--metrics-out=metrics.jsonl"]),
 ]
 
