@@ -27,7 +27,7 @@ namespace paldia::bench {
 struct BenchOptions {
   int repetitions = 3;  // the paper uses 5; --reps=5 reproduces that
   bool full = false;    // --full: uncompressed traces where applicable
-  int threads = 0;      // worker threads; 0 = hardware concurrency, 1 = serial
+  int threads = 0;      // worker threads; 0 = one per usable CPU, 1 = serial
   /// Chrome trace-event JSON base path; each (scenario, scheme) run writes
   /// its own derived file (see obs::derive_trace_path). Empty = disabled.
   std::string trace_out;

@@ -4,11 +4,13 @@
 // --catalog=gen:256 --endpoints=64 with a ~1.2M-request Poisson trace routed
 // across the gateways by the deterministic splitmix64 router.
 //
-// All exports (--trace-out / --metrics-out / --decisions-out / --rollup-out
-// / --alerts-out / --report-out) are byte-identical across --threads; the
-// wall-clock summary goes to stdout only. CI runs the small smoke
-// (--catalog=gen:16 --endpoints=4) and byte-compares the --threads=8
-// exports against the --threads=1 run.
+// The partitions drain concurrently, one worker per CPU in the process's
+// affinity mask. All exports (--trace-out / --metrics-out / --decisions-out
+// / --rollup-out / --alerts-out / --report-out) are byte-identical across
+// --threads and drain widths; the wall-clock summary goes to stdout only.
+// CI runs the small smoke (--catalog=gen:16 --endpoints=4) and
+// byte-compares the --threads=8 and `taskset -c 0` exports against the
+// --threads=1 run.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -74,8 +76,9 @@ FleetFlags parse_fleet_flags(int argc, char** argv) {
           "                 molecule-perf (default paldia)\n"
           "Fleet defaults for the shared flags: --catalog=gen:256 "
           "--endpoints=64\n"
-          "Each endpoint drains its own partition of the event queue; one\n"
-          "run_until takes every partition to the same simulated time.\n\n");
+          "Each endpoint drains its own partition of the event queue, and\n"
+          "the partitions drain concurrently, one worker per usable CPU;\n"
+          "one run_until takes every partition to the same simulated time.\n\n");
     }
   }
   return flags;
@@ -119,8 +122,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Fleet simulation: multi-gateway serving over a sliced catalog",
       "SLO-compliant serving holds up at fleet scale — E independent "
-      "gateways over slices of one heterogeneous catalog, one shared "
-      "simulator.");
+      "gateways over slices of one heterogeneous catalog, each draining "
+      "its own event-queue partition, the partitions concurrently.");
   std::printf("Catalog:   %s (%zu nodes: %d GPU, %zu CPU)\n",
               options.catalog.c_str(), catalog.size(), gpus,
               catalog.size() - static_cast<std::size_t>(gpus));

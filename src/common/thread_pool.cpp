@@ -3,12 +3,25 @@
 #include <algorithm>
 #include <atomic>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace paldia {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+std::size_t usable_cpus() {
+#ifdef __linux__
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&mask)));
   }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads == 0) threads = usable_cpus();
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

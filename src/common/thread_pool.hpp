@@ -26,9 +26,14 @@
 
 namespace paldia {
 
+/// CPUs the calling thread may run on: the size of its affinity mask, so
+/// taskset and cpusets count; hardware_concurrency where the mask cannot be
+/// read. Always at least 1.
+std::size_t usable_cpus();
+
 class ThreadPool {
  public:
-  /// threads == 0 picks hardware_concurrency (at least 1).
+  /// threads == 0 picks usable_cpus().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

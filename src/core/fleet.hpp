@@ -4,14 +4,18 @@
 // most hw::kNodeTypeCount nodes, so every fixed-size telemetry path keeps
 // working) and runs on its own partition of the caller's simulator
 // (sim::Simulator::add_partition): one run_until on that simulator drains
-// every endpoint to the same time.
+// every endpoint to the same time, the partitions concurrently on one worker
+// per usable CPU.
 //
 // Determinism contract:
 //   * Endpoints share no mutable state, and each drains its own partition:
-//     an endpoint's events are scheduled only by its own callbacks, so they
-//     fire in the (time, sequence) order and at the now() one shared queue
-//     would give them. Only the host-time interleaving of endpoints
-//     differs, and nothing reads it.
+//     an endpoint's events are scheduled and read only by its own
+//     callbacks, so they fire in the (time, sequence) order and at the
+//     now() one shared queue would give them, whichever thread drains the
+//     partition. Only the host-time interleaving of endpoints depends on
+//     the drain width, and nothing reads it. What endpoints do share is
+//     read-only (zoo, global catalog) or thread-safe (a y-sweep
+//     ThreadPool, the log sink).
 //   * Request ids are globally unique across gateways: endpoint e's
 //     IdAllocator tags every id with e in the high bits
 //     (cluster::IdAllocator), so tracing, sampling and attribution never
@@ -45,8 +49,8 @@ struct FleetConfig {
   /// Seed of the splitmix64 request router.
   std::uint64_t route_seed = 0x9a1d1a;
   /// Per-endpoint serving template. endpoint_id is overwritten per
-  /// endpoint; the observability pointers can be redirected per endpoint
-  /// via the configure callback.
+  /// endpoint; the observability pointers must be redirected per endpoint
+  /// via the configure callback, since endpoints drain concurrently.
   FrameworkConfig framework;
   /// Per-endpoint cluster template.
   cluster::ClusterConfig cluster;
@@ -84,8 +88,9 @@ class Fleet {
   void add_workload(models::ModelId model, const trace::Trace& global_trace);
 
   /// Arm every endpoint, drain all of their partitions to hard_end() with
-  /// one run_until on the simulator given to the constructor, and finish
-  /// every endpoint; returns the simulated end time.
+  /// one run_until on the simulator given to the constructor (concurrently,
+  /// see sim::Simulator::run_until), and finish every endpoint; returns the
+  /// simulated end time.
   TimeMs run();
 
   /// Latest hard drain deadline across endpoints. Valid after

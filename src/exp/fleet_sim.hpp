@@ -1,13 +1,14 @@
 // End-to-end multi-gateway fleet experiment: a core::Fleet (E endpoints over
-// a sliced catalog, each draining its own partition of one simulator)
-// driven by a Scenario's workloads, with the full per-endpoint
-// observability stack and the same RunMetrics extraction as the per-scheme
-// Runner.
+// a sliced catalog, each draining its own partition of one simulator, the
+// partitions concurrently) driven by a Scenario's workloads, with the full
+// per-endpoint observability stack and the same RunMetrics extraction as
+// the per-scheme Runner.
 //
 // The obs::RunTrace slots are reused with one slot per *endpoint* (instead
 // of per repetition): tracer/rollup/profiler/health slot e observes endpoint
 // e, and the existing exporters walk the slots in endpoint order — so fleet
-// exports are byte-identical across --threads exactly like per-rep exports.
+// exports are byte-identical across --threads and drain widths exactly like
+// per-rep exports.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +39,10 @@ struct FleetSimResult {
 class FleetSim {
  public:
   /// `catalog` is the global fleet catalog (typically generated,
-  /// hw::parse_catalog_spec). The pool only parallelizes the probes of each
-  /// endpoint policy's Eq. 1 y-sweep; exports are identical with or without
-  /// it.
+  /// hw::parse_catalog_spec). The pool parallelizes the probes of each
+  /// endpoint policy's Eq. 1 y-sweep; the endpoints' partitions drain
+  /// concurrently without it (sim::Simulator::run_until). Exports are
+  /// identical with or without the pool and at every drain width.
   FleetSim(const models::Zoo& zoo, const hw::Catalog& catalog,
            ThreadPool* pool = nullptr, SchemeFactoryOptions options = {});
 

@@ -2,15 +2,17 @@
 //
 // All framework components (gateway, batcher, autoscaler, devices, trackers)
 // are wired to one Simulator and communicate through scheduled callbacks.
-// Callbacks always execute single-threaded in (time, sequence) order from the
-// simulator's pooled EventQueue, so no component needs internal locking.
+// A simulator's callbacks execute one at a time in (time, sequence) order
+// from its pooled EventQueue, so no component needs internal locking.
 //
 // Partitions: components that schedule events only among themselves (a
 // fleet endpoint's serving loop) can run on a partition, a child simulator
 // whose events the parent's run_until drains. Such a group's events keep the
 // order and the now() they would have in one shared queue; only the host-time
 // interleaving of different groups changes, and the heap each pop walks is
-// the group's own.
+// the group's own. Partitions drain concurrently, so callbacks are
+// single-threaded per partition only: partitions must share no mutable
+// state, for thread safety as well as for ordering.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +51,12 @@ class Simulator {
 
   /// Add a partition: a child simulator, owned by this one, whose events
   /// run_until drains before this simulator's own. Partitions drain
-  /// serially, in creation order, and the returned reference stays valid
-  /// for this simulator's lifetime. A simulator with partitions fires
-  /// nothing of its own, so this throws std::logic_error while events are
-  /// pending here: they would fire after every partition had reached the
-  /// run_until bound.
+  /// concurrently (see run_until), so a partition's callbacks may touch
+  /// neither another partition nor this simulator; the returned reference
+  /// stays valid for this simulator's lifetime. A simulator with partitions
+  /// fires nothing of its own, so this throws std::logic_error while events
+  /// are pending here: they would fire after every partition had reached
+  /// the run_until bound.
   Simulator& add_partition();
 
   /// Callback of a repeating event; returns whether to keep firing.
@@ -102,10 +105,18 @@ class Simulator {
   /// Run until the queue is empty or simulated time would pass `until`.
   /// Events exactly at `until` still run. Returns the final now(), which is
   /// at least `until`; every partition ends at the same now().
+  ///
+  /// Partitions drain on min(partitions, usable_cpus()) workers
+  /// (common/thread_pool.hpp): the caller plus threads started for the
+  /// call, each claiming the next partition in creation order, so a caller
+  /// pinned to one CPU drains them serially, in creation order. Once a
+  /// callback throws, no further partition is claimed; after every worker
+  /// has joined, the lowest-indexed partition's exception is rethrown.
   TimeMs run_until(TimeMs until);
 
-  /// Run until the queue is fully drained. Every partition ends at the
-  /// returned now(), the time of the last event fired anywhere.
+  /// Run until the queue is fully drained, partitions as in run_until.
+  /// Every partition ends at the returned now(), the time of the last event
+  /// fired anywhere.
   TimeMs run_to_completion();
 
   /// Drop every pending event and repeating series and reset the clock (for

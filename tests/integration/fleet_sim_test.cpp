@@ -1,10 +1,11 @@
 // Fleet-scale determinism contract: a multi-endpoint FleetSim run — E
 // gateways over a sliced generated catalog, each on its own event-queue
-// partition — must
-// produce byte-identical exports (Chrome trace, metrics rows, decision log,
-// analysis report) with and without a thread pool parallelizing the probes
-// of the policies' Eq. 1 y-sweeps. This is the test-suite twin of the CI
-// fleet smoke (bench/fleet_sim byte-compare across --threads).
+// partition, the partitions drained concurrently — must produce
+// byte-identical exports (Chrome trace, metrics rows, decision log, analysis
+// report) with and without a thread pool parallelizing the probes of the
+// policies' Eq. 1 y-sweeps, and at every drain width. This is the
+// test-suite twin of the CI fleet smoke (bench/fleet_sim byte-compare across
+// --threads and under taskset -c 0).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include "src/obs/export.hpp"
 #include "src/obs/report.hpp"
 #include "src/trace/generators.hpp"
+#include "tests/pinned_cpu.hpp"
 
 namespace paldia::exp {
 namespace {
@@ -124,6 +126,26 @@ TEST(FleetSim, PooledVsSerialBitIdentical) {
   EXPECT_EQ(serial.report, pooled.report);
   EXPECT_EQ(serial.total_requests, pooled.total_requests);
   EXPECT_EQ(serial.unserved, pooled.unserved);
+}
+
+TEST(FleetSim, ExportsDoNotDependOnTheDrainWidth) {
+  const hw::Catalog catalog = hw::generate_catalog({.node_count = 16, .seed = 3});
+  const Exports full_width = run_exports(catalog, nullptr, "full_width");
+  ASSERT_FALSE(full_width.metrics.empty());
+  Exports one_cpu;
+  {
+    // Pinned to one CPU, the caller drains every endpoint's partition
+    // itself, serially.
+    PinnedToOneCpu pin;
+    ASSERT_TRUE(pin.ok());
+    one_cpu = run_exports(catalog, nullptr, "one_cpu");
+  }
+  EXPECT_EQ(full_width.chrome_trace, one_cpu.chrome_trace);
+  EXPECT_EQ(full_width.metrics, one_cpu.metrics);
+  EXPECT_EQ(full_width.decisions, one_cpu.decisions);
+  EXPECT_EQ(full_width.report, one_cpu.report);
+  EXPECT_EQ(full_width.total_requests, one_cpu.total_requests);
+  EXPECT_EQ(full_width.unserved, one_cpu.unserved);
 }
 
 TEST(FleetSim, RejectsUnsupportedSchemeByName) {

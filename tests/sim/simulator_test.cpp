@@ -3,14 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/common/thread_pool.hpp"
+#include "tests/pinned_cpu.hpp"
 
 namespace paldia::sim {
 namespace {
@@ -529,22 +538,99 @@ TEST(Simulator, EveryPartitionEndsAtTheParentsClock) {
   Simulator& idle = parent.add_partition();
   Simulator& early = parent.add_partition();
   Simulator& late = parent.add_partition();
-  std::vector<TimeMs> fired;
-  early.schedule_at(3.0, [&] { fired.push_back(early.now()); });
-  late.schedule_at(4.0, [&] { fired.push_back(late.now()); });
-  late.schedule_at(90.0, [&] { fired.push_back(late.now()); });
+  // One log per partition: partitions drain concurrently.
+  std::vector<TimeMs> early_fired;
+  std::vector<TimeMs> late_fired;
+  early.schedule_at(3.0, [&] { early_fired.push_back(early.now()); });
+  late.schedule_at(4.0, [&] { late_fired.push_back(late.now()); });
+  late.schedule_at(90.0, [&] { late_fired.push_back(late.now()); });
   EXPECT_EQ(parent.run_until(10.0), 10.0);
   for (const Simulator* sim : {&parent, &idle, &early, &late}) {
     EXPECT_EQ(sim->now(), 10.0);
   }
-  EXPECT_EQ(fired, (std::vector<TimeMs>{3.0, 4.0}));
+  EXPECT_EQ(early_fired, (std::vector<TimeMs>{3.0}));
+  EXPECT_EQ(late_fired, (std::vector<TimeMs>{4.0}));
   // Past its last event, every partition stands where one shared queue's
   // clock would: at the last event fired anywhere.
   EXPECT_EQ(parent.run_to_completion(), 90.0);
   for (const Simulator* sim : {&parent, &idle, &early, &late}) {
     EXPECT_EQ(sim->now(), 90.0);
   }
+  EXPECT_EQ(early_fired, (std::vector<TimeMs>{3.0}));
+  EXPECT_EQ(late_fired, (std::vector<TimeMs>{4.0, 90.0}));
   EXPECT_EQ(parent.events_processed(), 3u);
+}
+
+TEST(Simulator, PartitionsDrainOnSeveralThreads) {
+  constexpr std::size_t kPartitions = 8;
+  Simulator parent;
+  std::vector<Simulator*> partitions;
+  for (std::size_t p = 0; p < kPartitions; ++p) {
+    partitions.push_back(&parent.add_partition());
+  }
+  {
+    // A caller pinned to one CPU drains every partition itself.
+    PinnedToOneCpu pin;
+    ASSERT_TRUE(pin.ok());
+    ASSERT_EQ(usable_cpus(), 1u);
+    std::vector<std::thread::id> ran(kPartitions);
+    for (std::size_t p = 0; p < kPartitions; ++p) {
+      partitions[p]->schedule_at(
+          1.0, [&ran, p] { ran[p] = std::this_thread::get_id(); });
+    }
+    parent.run_until(1.0);
+    for (std::size_t p = 0; p < kPartitions; ++p) {
+      EXPECT_EQ(ran[p], std::this_thread::get_id()) << "partition " << p;
+    }
+  }
+  if (usable_cpus() < 2) GTEST_SKIP() << "one CPU in the affinity mask";
+  // Each callback waits until callbacks have run on two threads, so a drain
+  // on one thread stalls until the deadline and fails below.
+  std::mutex mutex;
+  std::condition_variable arrived;
+  std::set<std::thread::id> threads;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (Simulator* partition : partitions) {
+    partition->schedule_at(2.0, [&] {
+      std::unique_lock lock(mutex);
+      threads.insert(std::this_thread::get_id());
+      arrived.notify_all();
+      arrived.wait_until(lock, deadline, [&] { return threads.size() >= 2; });
+    });
+  }
+  parent.run_until(2.0);
+  EXPECT_GE(threads.size(), 2u);
+  EXPECT_EQ(parent.events_processed(), 2 * kPartitions);
+}
+
+TEST(Simulator, PartitionExceptionSurfacesFromRunUntil) {
+  Simulator parent;
+  std::atomic<int> running{0};
+  for (int p = 0; p < 6; ++p) {
+    Simulator& partition = parent.add_partition();
+    if (p == 1 || p == 4) {
+      // Partition 1 throws late, after partition 4 may have thrown on
+      // another worker; its exception is still the one rethrown.
+      partition.schedule_at(1.0, [p] {
+        if (p == 1) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw std::runtime_error("partition " + std::to_string(p));
+      });
+    } else {
+      // Slow neighbours: run_until must not return while they still run.
+      partition.schedule_at(1.0, [&running] {
+        ++running;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        --running;
+      });
+    }
+  }
+  try {
+    parent.run_until(5.0);
+    FAIL() << "run_until returned normally";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(running.load(), 0);
+    EXPECT_STREQ(error.what(), "partition 1");
+  }
 }
 
 TEST(Simulator, ResetReachesThePartitions) {
