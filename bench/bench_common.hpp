@@ -209,9 +209,12 @@ inline void print_header(const std::string& title, const std::string& paper_clai
 
 /// Observability side-channel of a bench driver: owns the streaming metrics
 /// and decision-log writers and exports one Chrome trace file per completed
-/// (scenario, scheme) run. All export happens on the calling thread, in call
-/// order — parallel sweeps capture traces into per-run slots and serialize
-/// them afterwards, keeping the files deterministic.
+/// (scenario, scheme) run. Parallel sweeps capture traces into per-run slots
+/// and export them afterwards, in call order. Within one export, the
+/// decision-log, rollup and alert writers and the report's extraction
+/// format each repetition's (a fleet endpoint's) rows on every usable CPU
+/// (paldia::for_each_concurrently), but every file is still written in call
+/// order and repetition order, keeping the files deterministic.
 class RunObserver {
  public:
   RunObserver(const BenchOptions& options, std::string figure)
@@ -294,9 +297,9 @@ class RunObserver {
     if (seen > 1) tag += "-run" + std::to_string(seen);
     const std::string label = tag + " / " + scheme;
     {
-      // Flush time lands in the rep-0 profiler (exports run on this thread,
-      // after the reps finished) so the report's export_flush row covers the
-      // trace, decision-log, and rollup writes.
+      // Flush time lands in the rep-0 profiler (exports start on this
+      // thread, after the reps finished) so the report's export_flush row
+      // covers the trace, decision-log, rollup and alert writes.
       obs::ScopedPhase flush(
           trace.profiles.empty() ? nullptr : trace.profiles[0].get(),
           obs::ProfilePhase::kExportFlush);

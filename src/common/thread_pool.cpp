@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 #ifdef __linux__
 #include <sched.h>
@@ -18,6 +19,35 @@ std::size_t usable_cpus() {
   }
 #endif
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+void for_each_concurrently(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(n);
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        next = n;
+      }
+    }
+  };
+  const std::size_t width = std::min(n, usable_cpus());
+  std::vector<std::thread> workers;
+  workers.reserve(width - 1);
+  try {
+    while (workers.size() + 1 < width) workers.emplace_back(work);
+  } catch (const std::exception&) {
+    // No further thread could start: the ones running claim the rest.
+  }
+  work();
+  for (auto& worker : workers) worker.join();
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {

@@ -31,6 +31,15 @@ namespace paldia {
 /// read. Always at least 1.
 std::size_t usable_cpus();
 
+/// Run fn(i) for every i in [0, n) on min(n, usable_cpus()) workers: the
+/// caller plus threads started for the call, each claiming the next i from
+/// one atomic index, so a width of 1 runs them in order on the caller. Once
+/// fn throws, no further i is claimed; after every thread has joined, the
+/// lowest i's exception is rethrown. n == 0 returns at once. For a handful
+/// of coarse, independent items (a fleet's endpoint partitions, their
+/// exports); ThreadPool::parallel_for serves nested and fine-grained loops.
+void for_each_concurrently(std::size_t n, const std::function<void(std::size_t)>& fn);
+
 class ThreadPool {
  public:
   /// threads == 0 picks usable_cpus().

@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <ostream>
+#include <sstream>
+#include <vector>
 
 #include "src/common/log.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
 #include "src/obs/text_format.hpp"
@@ -86,6 +89,24 @@ ExportStream::ExportStream(const std::string& path)
 void ExportStream::flush() {
   out_->flush();
   if (!*out_ && error_.empty()) error_ = "write failed for " + path_;
+}
+
+void ExportStream::write_reps(
+    std::size_t reps, std::string_view csv_header,
+    const std::function<void(std::size_t, std::ostream&)>& format_rep) {
+  if (!ok()) return;
+  std::vector<std::ostringstream> buffers(reps);
+  for_each_concurrently(reps, [&](std::size_t rep) { format_rep(rep, buffers[rep]); });
+  for (const std::ostringstream& buffer : buffers) {
+    const std::string_view rows = buffer.view();
+    if (rows.empty()) continue;
+    if (format_ == ExportFormat::kCsv && !header_written_) {
+      header_written_ = true;
+      *out_ << csv_header;
+    }
+    out_->write(rows.data(), static_cast<std::streamsize>(rows.size()));
+  }
+  flush();
 }
 
 // --- MetricsWriter ----------------------------------------------------------
@@ -190,32 +211,32 @@ void MetricsWriter::write(const telemetry::RunMetrics& metrics,
 
 // --- DecisionLogWriter ------------------------------------------------------
 
+namespace {
+constexpr std::string_view kDecisionHeader =
+    "scheme,scenario,rep,t_ms,current,chosen,final,switch_begun,"
+    "feasible,t_max_ms,best_t_max_ms,band_ms,wait_ctr,downgrade_ctr,"
+    "emergency_ctr,cpu_short_circuit,predicted_rps,observed_rps,"
+    "pool_size,candidates\n";
+}  // namespace
+
 void DecisionLogWriter::write(const RunTrace& trace, const std::string& scheme,
                               const std::string& scenario) {
-  if (!ok()) return;
-  for (std::size_t rep = 0; rep < trace.reps.size(); ++rep) {
-    if (trace.reps[rep] == nullptr) continue;
-    for (const auto& record : trace.reps[rep]->decisions()) {
-      write_record(record, static_cast<int>(rep), scheme, scenario);
-    }
-  }
-  flush();
+  write_reps(trace.reps.size(), kDecisionHeader,
+             [&](std::size_t rep, std::ostream& out) {
+               if (trace.reps[rep] == nullptr) return;
+               for (const auto& record : trace.reps[rep]->decisions()) {
+                 write_record(out, record, static_cast<int>(rep), scheme, scenario);
+               }
+             });
 }
 
-void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
-                                     const std::string& scheme,
-                                     const std::string& scenario) {
+void DecisionLogWriter::write_record(std::ostream& out, const DecisionRecord& record,
+                                     int rep, const std::string& scheme,
+                                     const std::string& scenario) const {
   const auto node = [](hw::NodeType type) {
     return std::string(hw::node_type_name(type));
   };
   if (format_ == ExportFormat::kCsv) {
-    if (!header_written_) {
-      header_written_ = true;
-      *out_ << "scheme,scenario,rep,t_ms,current,chosen,final,switch_begun,"
-               "feasible,t_max_ms,best_t_max_ms,band_ms,wait_ctr,downgrade_ctr,"
-               "emergency_ctr,cpu_short_circuit,predicted_rps,observed_rps,"
-               "pool_size,candidates\n";
-    }
     // Candidates as "node:t_max:feasible:price" joined with ';' — one cell,
     // still splittable without a CSV-in-CSV parser.
     std::string candidates;
@@ -226,68 +247,80 @@ void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
                     (candidate.feasible ? "1" : "0") + ":" +
                     format_number(candidate.price_per_hour);
     }
-    *out_ << csv_escape(scheme) << "," << csv_escape(scenario) << "," << rep << ","
-          << format_number(record.t_ms) << "," << node(record.current) << ","
-          << node(record.raw_choice) << "," << node(record.final_choice) << ","
-          << (record.switch_begun ? 1 : 0) << "," << (record.raw_feasible ? 1 : 0)
-          << "," << format_number(record.raw_t_max_ms) << ","
-          << format_number(record.best_t_max_ms) << "," << format_number(record.band_ms)
-          << "," << record.wait_ctr << ","
-          << record.downgrade_ctr << "," << record.emergency_ctr << ","
-          << (record.cpu_short_circuit ? 1 : 0) << ","
-          << format_number(record.predicted_rps) << ","
-          << format_number(record.observed_rps) << "," << record.pool_size << ","
-          << csv_escape(candidates) << "\n";
+    out << csv_escape(scheme) << "," << csv_escape(scenario) << "," << rep << ","
+        << format_number(record.t_ms) << "," << node(record.current) << ","
+        << node(record.raw_choice) << "," << node(record.final_choice) << ","
+        << (record.switch_begun ? 1 : 0) << "," << (record.raw_feasible ? 1 : 0)
+        << "," << format_number(record.raw_t_max_ms) << ","
+        << format_number(record.best_t_max_ms) << "," << format_number(record.band_ms)
+        << "," << record.wait_ctr << ","
+        << record.downgrade_ctr << "," << record.emergency_ctr << ","
+        << (record.cpu_short_circuit ? 1 : 0) << ","
+        << format_number(record.predicted_rps) << ","
+        << format_number(record.observed_rps) << "," << record.pool_size << ","
+        << csv_escape(candidates) << "\n";
   } else {
-    *out_ << "{\"scheme\":\"" << json_escape(scheme) << "\",\"scenario\":\""
-          << json_escape(scenario) << "\",\"rep\":" << rep
-          << ",\"t_ms\":" << format_number(record.t_ms) << ",\"current\":\""
-          << node(record.current) << "\",\"chosen\":\"" << node(record.raw_choice)
-          << "\",\"final\":\"" << node(record.final_choice)
-          << "\",\"switch_begun\":" << (record.switch_begun ? "true" : "false")
-          << ",\"feasible\":" << (record.raw_feasible ? "true" : "false")
-          << ",\"t_max_ms\":" << format_number(record.raw_t_max_ms)
-          << ",\"best_t_max_ms\":" << format_number(record.best_t_max_ms)
-          << ",\"band_ms\":" << format_number(record.band_ms)
-          << ",\"wait_ctr\":" << record.wait_ctr
-          << ",\"downgrade_ctr\":" << record.downgrade_ctr
-          << ",\"emergency_ctr\":" << record.emergency_ctr
-          << ",\"cpu_short_circuit\":" << (record.cpu_short_circuit ? "true" : "false")
-          << ",\"predicted_rps\":" << format_number(record.predicted_rps)
-          << ",\"observed_rps\":" << format_number(record.observed_rps)
-          << ",\"pool_size\":" << record.pool_size
-          << ",\"candidates\":[";
+    out << "{\"scheme\":\"" << json_escape(scheme) << "\",\"scenario\":\""
+        << json_escape(scenario) << "\",\"rep\":" << rep
+        << ",\"t_ms\":" << format_number(record.t_ms) << ",\"current\":\""
+        << node(record.current) << "\",\"chosen\":\"" << node(record.raw_choice)
+        << "\",\"final\":\"" << node(record.final_choice)
+        << "\",\"switch_begun\":" << (record.switch_begun ? "true" : "false")
+        << ",\"feasible\":" << (record.raw_feasible ? "true" : "false")
+        << ",\"t_max_ms\":" << format_number(record.raw_t_max_ms)
+        << ",\"best_t_max_ms\":" << format_number(record.best_t_max_ms)
+        << ",\"band_ms\":" << format_number(record.band_ms)
+        << ",\"wait_ctr\":" << record.wait_ctr
+        << ",\"downgrade_ctr\":" << record.downgrade_ctr
+        << ",\"emergency_ctr\":" << record.emergency_ctr
+        << ",\"cpu_short_circuit\":" << (record.cpu_short_circuit ? "true" : "false")
+        << ",\"predicted_rps\":" << format_number(record.predicted_rps)
+        << ",\"observed_rps\":" << format_number(record.observed_rps)
+        << ",\"pool_size\":" << record.pool_size
+        << ",\"candidates\":[";
     bool first = true;
     for (const auto& candidate : record.candidates) {
-      if (!first) *out_ << ",";
+      if (!first) out << ",";
       first = false;
-      *out_ << "{\"node\":\"" << node(candidate.node)
-            << "\",\"t_max_ms\":" << format_number(candidate.t_max_ms)
-            << ",\"feasible\":" << (candidate.feasible ? "true" : "false")
-            << ",\"price_per_hour\":" << format_number(candidate.price_per_hour)
-            << ",\"best_y\":" << candidate.best_y << "}";
+      out << "{\"node\":\"" << node(candidate.node)
+          << "\",\"t_max_ms\":" << format_number(candidate.t_max_ms)
+          << ",\"feasible\":" << (candidate.feasible ? "true" : "false")
+          << ",\"price_per_hour\":" << format_number(candidate.price_per_hour)
+          << ",\"best_y\":" << candidate.best_y << "}";
     }
-    *out_ << "]}\n";
+    out << "]}\n";
   }
 }
 
 // --- RollupWriter -----------------------------------------------------------
 
+namespace {
+constexpr std::string_view kRollupHeader =
+    "run,rep,window,window_start_ms,window_end_ms,model,node,"
+    "completed,violations,unserved,viol_cold_start,"
+    "viol_gateway_queue,viol_batching,viol_mps_interference,"
+    "viol_hardware_switch,viol_failure_retry,viol_execution,"
+    "viol_unserved,latency_count,latency_mean_ms,latency_p50_ms,"
+    "latency_p95_ms,latency_p99_ms,latency_max_ms,hist,"
+    "queue_depth_mean,queue_depth_samples,in_flight_mean,"
+    "in_flight_samples\n";
+}  // namespace
+
 void RollupWriter::write(const RunTrace& trace, const std::string& run) {
-  if (!ok()) return;
-  for (std::size_t rep = 0; rep < trace.rollups.size(); ++rep) {
-    const RollupAggregator* rollup = trace.rollups[rep].get();
-    if (rollup == nullptr) continue;
-    for (const auto& [key, cell] : rollup->cells()) {
-      write_cell(key, cell, rollup->config(), static_cast<int>(rep), run);
-    }
-  }
-  flush();
+  write_reps(trace.rollups.size(), kRollupHeader,
+             [&](std::size_t rep, std::ostream& out) {
+               const RollupAggregator* rollup = trace.rollups[rep].get();
+               if (rollup == nullptr) return;
+               for (const auto& [key, cell] : rollup->cells()) {
+                 write_cell(out, key, cell, rollup->config(), static_cast<int>(rep),
+                            run);
+               }
+             });
 }
 
-void RollupWriter::write_cell(const RollupKey& key, const RollupCell& cell,
-                              const RollupConfig& config, int rep,
-                              const std::string& run) {
+void RollupWriter::write_cell(std::ostream& out, const RollupKey& key,
+                              const RollupCell& cell, const RollupConfig& config,
+                              int rep, const std::string& run) const {
   const std::string model =
       key.model >= 0 && key.model < models::kModelCount
           ? std::string(models::model_id_name(models::ModelId(key.model)))
@@ -309,17 +342,6 @@ void RollupWriter::write_cell(const RollupKey& key, const RollupCell& cell,
           : 0.0;
 
   if (format_ == ExportFormat::kCsv) {
-    if (!header_written_) {
-      header_written_ = true;
-      *out_ << "run,rep,window,window_start_ms,window_end_ms,model,node,"
-               "completed,violations,unserved,viol_cold_start,"
-               "viol_gateway_queue,viol_batching,viol_mps_interference,"
-               "viol_hardware_switch,viol_failure_retry,viol_execution,"
-               "viol_unserved,latency_count,latency_mean_ms,latency_p50_ms,"
-               "latency_p95_ms,latency_p99_ms,latency_max_ms,hist,"
-               "queue_depth_mean,queue_depth_samples,in_flight_mean,"
-               "in_flight_samples\n";
-    }
     // Histogram as "value:count" pairs joined with ';' — one cell, still
     // splittable without a CSV-in-CSV parser (decision-log idiom).
     std::string pairs;
@@ -327,80 +349,77 @@ void RollupWriter::write_cell(const RollupKey& key, const RollupCell& cell,
       if (!pairs.empty()) pairs += ";";
       pairs += format_number(value) + ":" + std::to_string(count);
     }
-    *out_ << csv_escape(run) << "," << rep << "," << key.window << ","
-          << format_number(window_start) << ","
-          << format_number(window_start + config.window_ms)
-          << "," << csv_escape(model) << "," << csv_escape(node) << ","
-          << cell.completed << "," << cell.violations << "," << cell.unserved;
-    for (const std::uint64_t count : cell.causes) *out_ << "," << count;
-    *out_ << "," << latency.count << "," << format_number(latency.mean_ms) << ","
-          << format_number(latency.p50_ms) << "," << format_number(latency.p95_ms) << ","
-          << format_number(latency.p99_ms) << "," << format_number(latency.max_ms) << ","
-          << csv_escape(pairs) << "," << format_number(queue_mean) << ","
-          << cell.queue_depth_samples << "," << format_number(in_flight_mean) << ","
-          << cell.in_flight_samples << "\n";
+    out << csv_escape(run) << "," << rep << "," << key.window << ","
+        << format_number(window_start) << ","
+        << format_number(window_start + config.window_ms)
+        << "," << csv_escape(model) << "," << csv_escape(node) << ","
+        << cell.completed << "," << cell.violations << "," << cell.unserved;
+    for (const std::uint64_t count : cell.causes) out << "," << count;
+    out << "," << latency.count << "," << format_number(latency.mean_ms) << ","
+        << format_number(latency.p50_ms) << "," << format_number(latency.p95_ms) << ","
+        << format_number(latency.p99_ms) << "," << format_number(latency.max_ms) << ","
+        << csv_escape(pairs) << "," << format_number(queue_mean) << ","
+        << cell.queue_depth_samples << "," << format_number(in_flight_mean) << ","
+        << cell.in_flight_samples << "\n";
   } else {
-    *out_ << "{\"run\":\"" << json_escape(run) << "\",\"rep\":" << rep
-          << ",\"window\":" << key.window
-          << ",\"window_start_ms\":" << format_number(window_start)
-          << ",\"window_end_ms\":" << format_number(window_start + config.window_ms)
-          << ",\"model\":\"" << json_escape(model) << "\",\"node\":\""
-          << json_escape(node) << "\",\"completed\":" << cell.completed
-          << ",\"violations\":" << cell.violations
-          << ",\"unserved\":" << cell.unserved << ",\"causes\":{";
+    out << "{\"run\":\"" << json_escape(run) << "\",\"rep\":" << rep
+        << ",\"window\":" << key.window
+        << ",\"window_start_ms\":" << format_number(window_start)
+        << ",\"window_end_ms\":" << format_number(window_start + config.window_ms)
+        << ",\"model\":\"" << json_escape(model) << "\",\"node\":\""
+        << json_escape(node) << "\",\"completed\":" << cell.completed
+        << ",\"violations\":" << cell.violations
+        << ",\"unserved\":" << cell.unserved << ",\"causes\":{";
     for (int cause = 0; cause < telemetry::kViolationCauseCount; ++cause) {
-      if (cause > 0) *out_ << ",";
-      *out_ << "\"" << telemetry::violation_cause_name(
-                           static_cast<telemetry::ViolationCause>(cause))
-            << "\":" << cell.causes[static_cast<std::size_t>(cause)];
+      if (cause > 0) out << ",";
+      out << "\"" << telemetry::violation_cause_name(
+                         static_cast<telemetry::ViolationCause>(cause))
+          << "\":" << cell.causes[static_cast<std::size_t>(cause)];
     }
-    *out_ << "},\"latency\":{\"count\":" << latency.count
-          << ",\"mean_ms\":" << format_number(latency.mean_ms)
-          << ",\"p50_ms\":" << format_number(latency.p50_ms)
-          << ",\"p95_ms\":" << format_number(latency.p95_ms)
-          << ",\"p99_ms\":" << format_number(latency.p99_ms)
-          << ",\"max_ms\":" << format_number(latency.max_ms) << "},\"hist\":[";
+    out << "},\"latency\":{\"count\":" << latency.count
+        << ",\"mean_ms\":" << format_number(latency.mean_ms)
+        << ",\"p50_ms\":" << format_number(latency.p50_ms)
+        << ",\"p95_ms\":" << format_number(latency.p95_ms)
+        << ",\"p99_ms\":" << format_number(latency.p99_ms)
+        << ",\"max_ms\":" << format_number(latency.max_ms) << "},\"hist\":[";
     bool first = true;
     for (const auto& [value, count] : hist) {
-      if (!first) *out_ << ",";
+      if (!first) out << ",";
       first = false;
-      *out_ << "[" << format_number(value) << "," << count << "]";
+      out << "[" << format_number(value) << "," << count << "]";
     }
-    *out_ << "],\"queue_depth_mean\":" << format_number(queue_mean)
-          << ",\"queue_depth_samples\":" << cell.queue_depth_samples
-          << ",\"in_flight_mean\":" << format_number(in_flight_mean)
-          << ",\"in_flight_samples\":" << cell.in_flight_samples << "}\n";
+    out << "],\"queue_depth_mean\":" << format_number(queue_mean)
+        << ",\"queue_depth_samples\":" << cell.queue_depth_samples
+        << ",\"in_flight_mean\":" << format_number(in_flight_mean)
+        << ",\"in_flight_samples\":" << cell.in_flight_samples << "}\n";
   }
-  flush();
 }
 
 // --- AlertWriter ------------------------------------------------------------
 
+namespace {
+// One header for both row kinds; summary rows leave the alert-only columns
+// empty and vice versa.
+constexpr std::string_view kAlertHeader =
+    "run,rep,row,detector,model,node,open_ms,fire_ms,resolve_ms,"
+    "resolved_at_end,peak_severity,ticks_breached,blame,violations,"
+    "completed,first_violation_ms,evaluations,alerts\n";
+}  // namespace
+
 void AlertWriter::write(const RunTrace& trace, const std::string& run) {
-  if (!ok()) return;
-  for (std::size_t rep = 0; rep < trace.healths.size(); ++rep) {
-    const HealthEngine* engine = trace.healths[rep].get();
-    if (engine == nullptr) continue;
-    for (const AlertRecord& record : engine->alerts()) {
-      write_alert(record, static_cast<int>(rep), run);
-    }
-    write_summary(*engine, static_cast<int>(rep), run);
-  }
-  flush();
+  write_reps(trace.healths.size(), kAlertHeader,
+             [&](std::size_t rep, std::ostream& out) {
+               const HealthEngine* engine = trace.healths[rep].get();
+               if (engine == nullptr) return;
+               for (const AlertRecord& record : engine->alerts()) {
+                 write_alert(out, record, static_cast<int>(rep), run);
+               }
+               write_summary(out, *engine, static_cast<int>(rep), run);
+             });
 }
 
-void AlertWriter::write_header() {
-  if (header_written_) return;
-  header_written_ = true;
-  // One header for both row kinds; summary rows leave the alert-only
-  // columns empty and vice versa.
-  *out_ << "run,rep,row,detector,model,node,open_ms,fire_ms,resolve_ms,"
-           "resolved_at_end,peak_severity,ticks_breached,blame,violations,"
-           "completed,first_violation_ms,evaluations,alerts\n";
-}
-
-void AlertWriter::write_alert(const AlertRecord& record, int rep,
-                              const std::string& run) {
+void AlertWriter::write_alert(std::ostream& out, const AlertRecord& record, int rep,
+                              const std::string& run) const {
   const std::string model =
       record.model >= 0 && record.model < models::kModelCount
           ? std::string(models::model_id_name(models::ModelId(record.model)))
@@ -412,47 +431,43 @@ void AlertWriter::write_alert(const AlertRecord& record, int rep,
   const char* detector = health_detector_name(record.detector);
   const std::string_view blame = telemetry::violation_cause_name(record.blame);
   if (format_ == ExportFormat::kCsv) {
-    write_header();
-    *out_ << csv_escape(run) << "," << rep << ",alert," << detector << ","
-          << csv_escape(model) << "," << csv_escape(node) << ","
-          << format_number(record.open_ms) << "," << format_number(record.fire_ms) << ","
-          << format_number(record.resolve_ms) << "," << (record.resolved_at_end ? 1 : 0)
-          << "," << format_number(record.peak_severity) << "," << record.ticks_breached
-          << "," << blame << "," << record.violations << "," << record.completed
-          << ",,,\n";
+    out << csv_escape(run) << "," << rep << ",alert," << detector << ","
+        << csv_escape(model) << "," << csv_escape(node) << ","
+        << format_number(record.open_ms) << "," << format_number(record.fire_ms) << ","
+        << format_number(record.resolve_ms) << "," << (record.resolved_at_end ? 1 : 0)
+        << "," << format_number(record.peak_severity) << "," << record.ticks_breached
+        << "," << blame << "," << record.violations << "," << record.completed
+        << ",,,\n";
   } else {
-    *out_ << "{\"run\":\"" << json_escape(run) << "\",\"rep\":" << rep
-          << ",\"row\":\"alert\",\"detector\":\"" << detector
-          << "\",\"model\":\"" << json_escape(model) << "\",\"node\":\""
-          << json_escape(node) << "\",\"open_ms\":" << format_number(record.open_ms)
-          << ",\"fire_ms\":" << format_number(record.fire_ms)
-          << ",\"resolve_ms\":" << format_number(record.resolve_ms)
-          << ",\"resolved_at_end\":" << (record.resolved_at_end ? "true" : "false")
-          << ",\"peak_severity\":" << format_number(record.peak_severity)
-          << ",\"ticks_breached\":" << record.ticks_breached << ",\"blame\":\""
-          << blame << "\",\"violations\":" << record.violations
-          << ",\"completed\":" << record.completed << "}\n";
+    out << "{\"run\":\"" << json_escape(run) << "\",\"rep\":" << rep
+        << ",\"row\":\"alert\",\"detector\":\"" << detector
+        << "\",\"model\":\"" << json_escape(model) << "\",\"node\":\""
+        << json_escape(node) << "\",\"open_ms\":" << format_number(record.open_ms)
+        << ",\"fire_ms\":" << format_number(record.fire_ms)
+        << ",\"resolve_ms\":" << format_number(record.resolve_ms)
+        << ",\"resolved_at_end\":" << (record.resolved_at_end ? "true" : "false")
+        << ",\"peak_severity\":" << format_number(record.peak_severity)
+        << ",\"ticks_breached\":" << record.ticks_breached << ",\"blame\":\""
+        << blame << "\",\"violations\":" << record.violations
+        << ",\"completed\":" << record.completed << "}\n";
   }
-  flush();
 }
 
-void AlertWriter::write_summary(const HealthEngine& engine, int rep,
-                                const std::string& run) {
+void AlertWriter::write_summary(std::ostream& out, const HealthEngine& engine,
+                                int rep, const std::string& run) const {
   if (format_ == ExportFormat::kCsv) {
-    write_header();
-    *out_ << csv_escape(run) << "," << rep << ",summary,,,,,,,,,,,"
-          << engine.violations() << "," << engine.completions() << ","
-          << format_number(engine.first_violation_ms()) << "," << engine.evaluations()
-          << "," << engine.alerts().size() << "\n";
+    out << csv_escape(run) << "," << rep << ",summary,,,,,,,,,,,"
+        << engine.violations() << "," << engine.completions() << ","
+        << format_number(engine.first_violation_ms()) << "," << engine.evaluations()
+        << "," << engine.alerts().size() << "\n";
   } else {
-    *out_ << "{\"run\":\"" << json_escape(run) << "\",\"rep\":" << rep
-          << ",\"row\":\"summary\",\"completed\":" << engine.completions()
-          << ",\"violations\":" << engine.violations()
-          << ",\"first_violation_ms\":" << format_number(engine.first_violation_ms())
-          << ",\"evaluations\":" << engine.evaluations()
-          << ",\"alerts\":" << engine.alerts().size() << "}\n";
+    out << "{\"run\":\"" << json_escape(run) << "\",\"rep\":" << rep
+        << ",\"row\":\"summary\",\"completed\":" << engine.completions()
+        << ",\"violations\":" << engine.violations()
+        << ",\"first_violation_ms\":" << format_number(engine.first_violation_ms())
+        << ",\"evaluations\":" << engine.evaluations()
+        << ",\"alerts\":" << engine.alerts().size() << "}\n";
   }
-  flush();
 }
 
 }  // namespace paldia::obs

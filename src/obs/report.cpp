@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "src/common/table.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
 #include "src/models/zoo.hpp"
@@ -159,9 +160,11 @@ RunData extract_run_data(const RunTrace& trace, const std::string& label) {
   out.dropped_decisions = trace.dropped_decisions();
   out.reps.resize(trace.reps.size());
 
-  for (std::size_t rep = 0; rep < trace.reps.size(); ++rep) {
+  // Rep r reads only its own tracer and fills only out.reps[r], so the
+  // result does not depend on how many CPUs run the reps.
+  for_each_concurrently(trace.reps.size(), [&](std::size_t rep) {
     const Tracer* tracer = trace.reps[rep].get();
-    if (tracer == nullptr) continue;
+    if (tracer == nullptr) return;
     RepBuilder builder(out.reps[rep]);
 
     for (const TraceEvent& event : tracer->events()) {
@@ -226,7 +229,7 @@ RunData extract_run_data(const RunTrace& trace, const std::string& label) {
       }
     }
     builder.finish();
-  }
+  });
   return out;
 }
 

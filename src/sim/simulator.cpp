@@ -1,55 +1,13 @@
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/common/thread_pool.hpp"
 #include "src/obs/profiler.hpp"
 
 namespace paldia::sim {
-
-namespace {
-
-/// Run fn(i) for every i in [0, n) on min(n, usable_cpus()) workers: the
-/// caller plus threads started for the call, each claiming the next i from
-/// one atomic index, so a width of 1 runs them in order on the caller. Once
-/// fn throws, no further i is claimed; after every thread has joined, the
-/// lowest i's exception is rethrown.
-template <typename Fn>
-void for_each_concurrently(std::size_t n, const Fn& fn) {
-  if (n == 0) return;
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(n);
-  const auto work = [&] {
-    for (std::size_t i = next++; i < n; i = next++) {
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        next = n;
-      }
-    }
-  };
-  const std::size_t width = std::min(n, usable_cpus());
-  std::vector<std::thread> workers;
-  workers.reserve(width - 1);
-  try {
-    while (workers.size() + 1 < width) workers.emplace_back(work);
-  } catch (const std::exception&) {
-    // No further thread could start: the ones running claim the rest.
-  }
-  work();
-  for (auto& worker : workers) worker.join();
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-}
-
-}  // namespace
 
 EventHandle Simulator::schedule_in(DurationMs delay, EventFn fn) {
   return schedule_at(now_ + std::max(0.0, delay), std::move(fn));

@@ -106,12 +106,13 @@ class Simulator {
   /// Events exactly at `until` still run. Returns the final now(), which is
   /// at least `until`; every partition ends at the same now().
   ///
-  /// Partitions drain on min(partitions, usable_cpus()) workers
-  /// (common/thread_pool.hpp): the caller plus threads started for the
-  /// call, each claiming the next partition in creation order, so a caller
-  /// pinned to one CPU drains them serially, in creation order. Once a
-  /// callback throws, no further partition is claimed; after every worker
-  /// has joined, the lowest-indexed partition's exception is rethrown.
+  /// Partitions drain through paldia::for_each_concurrently
+  /// (common/thread_pool.hpp), on min(partitions, usable_cpus()) workers:
+  /// the caller plus threads started for the call, each claiming the next
+  /// partition in creation order, so a caller pinned to one CPU drains them
+  /// serially, in creation order. Once a callback throws, no further
+  /// partition is claimed; after every worker has joined, the
+  /// lowest-indexed partition's exception is rethrown.
   TimeMs run_until(TimeMs until);
 
   /// Run until the queue is fully drained, partitions as in run_until.

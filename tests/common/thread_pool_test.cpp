@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include "tests/pinned_cpu.hpp"
 
 namespace paldia {
 namespace {
@@ -162,6 +168,64 @@ TEST(ThreadPool, SubmitInsideTaskThenWaitIdle) {
   }
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 20);
+}
+
+TEST(ThreadPool, ForEachConcurrentlyRunsEveryIndexExactlyOnce) {
+  std::vector<std::atomic<int>> hits(257);
+  for_each_concurrently(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST(ThreadPool, ForEachConcurrentlyZeroItemsMakesNoCall) {
+  for_each_concurrently(0, [](std::size_t) { FAIL() << "must not be called"; });
+}
+
+TEST(ThreadPool, ForEachConcurrentlyPinnedToOneCpuRunsInOrderOnTheCaller) {
+  PinnedToOneCpu pin;
+  ASSERT_TRUE(pin.ok());
+  ASSERT_EQ(usable_cpus(), 1u);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> threads;
+  for_each_concurrently(16, [&](std::size_t i) {
+    order.push_back(i);
+    threads.push_back(std::this_thread::get_id());
+  });
+  std::vector<std::size_t> expected(16);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+  for (const auto& id : threads) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPool, ForEachConcurrentlyRethrowsTheLowestIndexAfterTheJoin) {
+  // Index 2 throws at 20 ms, index 1 at 60 ms, so no further index is
+  // claimed after the first four. The other two return after 100 ms on the
+  // caller and 200 ms on a worker: whichever index the caller holds, it is
+  // done while a worker is still busy (on two or more CPUs), and index 1's
+  // exception must still be the one rethrown, after that worker returns.
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> running{0};
+  try {
+    for_each_concurrently(8, [&](std::size_t i) {
+      ++running;
+      struct Leave {
+        std::atomic<int>& running;
+        ~Leave() { --running; }
+      } leave{running};
+      const auto sleep = [](int ms) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      };
+      if (i == 1 || i == 2) {
+        sleep(i == 1 ? 60 : 20);
+        throw std::runtime_error("index " + std::to_string(i));
+      }
+      sleep(std::this_thread::get_id() == caller ? 100 : 200);
+    });
+    FAIL() << "for_each_concurrently returned normally";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "index 1");
+    EXPECT_EQ(running.load(), 0);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Fleet-scale determinism contract: a multi-endpoint FleetSim run — E
 // gateways over a sliced generated catalog, each on its own event-queue
 // partition, the partitions drained concurrently — must produce
-// byte-identical exports (Chrome trace, metrics rows, decision log, analysis
-// report) with and without a thread pool parallelizing the probes of the
-// policies' Eq. 1 y-sweeps, and at every drain width. This is the
-// test-suite twin of the CI fleet smoke (bench/fleet_sim byte-compare across
-// --threads and under taskset -c 0).
+// byte-identical exports (Chrome trace, metrics rows, decision log, rollup
+// and alert streams, analysis report) with and without a thread pool
+// parallelizing the probes of the policies' Eq. 1 y-sweeps, and at every
+// drain and export width. This is the test-suite twin of the CI fleet smoke
+// (bench/fleet_sim byte-compare across --threads and under taskset -c 0).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -55,6 +55,8 @@ struct Exports {
   std::string chrome_trace;
   std::string metrics;
   std::string decisions;
+  std::string rollups;
+  std::string alerts;
   std::string report;
   std::uint64_t total_requests = 0;
   std::uint64_t unserved = 0;
@@ -67,6 +69,8 @@ Exports run_exports(const hw::Catalog& catalog, ThreadPool* pool,
 
   obs::RunTrace trace;
   trace.config.timeline = true;  // the Chrome export's gauges and spans
+  trace.collect_rollups = true;
+  trace.collect_health = true;
   const FleetSimResult result =
       sim.run(scenario, SchemeId::kPaldia, kEndpoints, &trace);
   EXPECT_EQ(static_cast<std::size_t>(result.endpoints), trace.reps.size());
@@ -82,6 +86,8 @@ Exports run_exports(const hw::Catalog& catalog, ThreadPool* pool,
   const std::string dir = ::testing::TempDir();
   const std::string metrics_path = dir + "fleet_metrics_" + tag + ".jsonl";
   const std::string decisions_path = dir + "fleet_decisions_" + tag + ".jsonl";
+  const std::string rollups_path = dir + "fleet_rollups_" + tag + ".jsonl";
+  const std::string alerts_path = dir + "fleet_alerts_" + tag + ".jsonl";
   {
     obs::MetricsWriter metrics(metrics_path);
     EXPECT_TRUE(metrics.ok()) << metrics.error();
@@ -92,11 +98,21 @@ Exports run_exports(const hw::Catalog& catalog, ThreadPool* pool,
     obs::DecisionLogWriter decisions(decisions_path);
     EXPECT_TRUE(decisions.ok()) << decisions.error();
     decisions.write(trace, scheme_name(SchemeId::kPaldia), scenario.name);
+    obs::RollupWriter rollups(rollups_path);
+    EXPECT_TRUE(rollups.ok()) << rollups.error();
+    rollups.write(trace, scenario.name);
+    obs::AlertWriter alerts(alerts_path);
+    EXPECT_TRUE(alerts.ok()) << alerts.error();
+    alerts.write(trace, scenario.name);
   }
   exports.metrics = slurp(metrics_path);
   exports.decisions = slurp(decisions_path);
-  std::remove(metrics_path.c_str());
-  std::remove(decisions_path.c_str());
+  exports.rollups = slurp(rollups_path);
+  exports.alerts = slurp(alerts_path);
+  for (const std::string& path :
+       {metrics_path, decisions_path, rollups_path, alerts_path}) {
+    std::remove(path.c_str());
+  }
 
   std::ostringstream report;
   obs::write_report_json(
@@ -123,6 +139,8 @@ TEST(FleetSim, PooledVsSerialBitIdentical) {
   EXPECT_EQ(serial.chrome_trace, pooled.chrome_trace);
   EXPECT_EQ(serial.metrics, pooled.metrics);
   EXPECT_EQ(serial.decisions, pooled.decisions);
+  EXPECT_EQ(serial.rollups, pooled.rollups);
+  EXPECT_EQ(serial.alerts, pooled.alerts);
   EXPECT_EQ(serial.report, pooled.report);
   EXPECT_EQ(serial.total_requests, pooled.total_requests);
   EXPECT_EQ(serial.unserved, pooled.unserved);
@@ -132,10 +150,12 @@ TEST(FleetSim, ExportsDoNotDependOnTheDrainWidth) {
   const hw::Catalog catalog = hw::generate_catalog({.node_count = 16, .seed = 3});
   const Exports full_width = run_exports(catalog, nullptr, "full_width");
   ASSERT_FALSE(full_width.metrics.empty());
+  ASSERT_FALSE(full_width.rollups.empty());
+  ASSERT_FALSE(full_width.alerts.empty());
   Exports one_cpu;
   {
     // Pinned to one CPU, the caller drains every endpoint's partition
-    // itself, serially.
+    // itself, serially, and formats every endpoint's rows in rep order.
     PinnedToOneCpu pin;
     ASSERT_TRUE(pin.ok());
     one_cpu = run_exports(catalog, nullptr, "one_cpu");
@@ -143,6 +163,8 @@ TEST(FleetSim, ExportsDoNotDependOnTheDrainWidth) {
   EXPECT_EQ(full_width.chrome_trace, one_cpu.chrome_trace);
   EXPECT_EQ(full_width.metrics, one_cpu.metrics);
   EXPECT_EQ(full_width.decisions, one_cpu.decisions);
+  EXPECT_EQ(full_width.rollups, one_cpu.rollups);
+  EXPECT_EQ(full_width.alerts, one_cpu.alerts);
   EXPECT_EQ(full_width.report, one_cpu.report);
   EXPECT_EQ(full_width.total_requests, one_cpu.total_requests);
   EXPECT_EQ(full_width.unserved, one_cpu.unserved);

@@ -434,20 +434,88 @@ TEST(TraceExport, ChromeTraceIsStructurallySoundJson) {
   EXPECT_EQ(json.find("inf"), std::string::npos);
 }
 
+/// A CSV export of a two-rep run: `header` as its first line and nowhere
+/// else, then `rows` rows, every row of rep 0 before those of rep 1. The rep
+/// is cell `rep_column` of a row; no cell before it holds a comma.
+void expect_csv_rows(const std::string& text, const std::string& header,
+                     std::size_t rows, std::size_t rep_column) {
+  ASSERT_GT(rows, 0u);
+  std::istringstream in(text);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), rows + 1);
+  EXPECT_EQ(lines[0], header);
+  std::vector<int> reps;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i], header);
+    std::istringstream row(lines[i]);
+    std::string cell;
+    for (std::size_t c = 0; c <= rep_column; ++c) std::getline(row, cell, ',');
+    reps.push_back(std::stoi(cell));
+  }
+  EXPECT_TRUE(std::is_sorted(reps.begin(), reps.end()));
+  EXPECT_EQ(reps.front(), 0);
+  EXPECT_EQ(reps.back(), 1);
+}
+
 TEST(TraceExport, CsvAndJsonlWritersEmitOneRowPerRecord) {
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance());
   RunTrace trace;
+  trace.collect_rollups = true;
+  trace.collect_health = true;
   const auto result =
       runner.run(small_scenario(2), exp::SchemeId::kPaldia, trace);
+  ASSERT_EQ(trace.reps.size(), 2u);
 
   std::ostringstream csv;
   DecisionLogWriter writer(csv, ExportFormat::kCsv);
   writer.write(trace, "Paldia", "trace_export");
   std::size_t total_decisions = 0;
   for (const auto& rep : trace.reps) total_decisions += rep->decisions().size();
-  const std::string text = csv.str();
-  const auto lines = std::count(text.begin(), text.end(), '\n');
-  EXPECT_EQ(static_cast<std::size_t>(lines), total_decisions + 1);  // + header
+  {
+    SCOPED_TRACE("decisions");
+    expect_csv_rows(csv.str(),
+                    "scheme,scenario,rep,t_ms,current,chosen,final,switch_begun,"
+                    "feasible,t_max_ms,best_t_max_ms,band_ms,wait_ctr,"
+                    "downgrade_ctr,emergency_ctr,cpu_short_circuit,predicted_rps,"
+                    "observed_rps,pool_size,candidates",
+                    total_decisions, 2);
+  }
+
+  std::ostringstream rollup_csv;
+  RollupWriter rollups(rollup_csv, ExportFormat::kCsv);
+  rollups.write(trace, "trace_export / Paldia");
+  std::size_t cells = 0;
+  for (const auto& rollup : trace.rollups) cells += rollup->cells().size();
+  {
+    SCOPED_TRACE("rollups");
+    expect_csv_rows(rollup_csv.str(),
+                    "run,rep,window,window_start_ms,window_end_ms,model,node,"
+                    "completed,violations,unserved,viol_cold_start,"
+                    "viol_gateway_queue,viol_batching,viol_mps_interference,"
+                    "viol_hardware_switch,viol_failure_retry,viol_execution,"
+                    "viol_unserved,latency_count,latency_mean_ms,latency_p50_ms,"
+                    "latency_p95_ms,latency_p99_ms,latency_max_ms,hist,"
+                    "queue_depth_mean,queue_depth_samples,in_flight_mean,"
+                    "in_flight_samples",
+                    cells, 1);
+  }
+
+  std::ostringstream alert_csv;
+  AlertWriter alerts(alert_csv, ExportFormat::kCsv);
+  alerts.write(trace, "trace_export / Paldia");
+  std::size_t alert_rows = 0;
+  for (const auto& health : trace.healths) {
+    alert_rows += health->alerts().size() + 1;  // + the rep's summary row
+  }
+  {
+    SCOPED_TRACE("alerts");
+    expect_csv_rows(alert_csv.str(),
+                    "run,rep,row,detector,model,node,open_ms,fire_ms,resolve_ms,"
+                    "resolved_at_end,peak_severity,ticks_breached,blame,"
+                    "violations,completed,first_violation_ms,evaluations,alerts",
+                    alert_rows, 1);
+  }
 
   std::ostringstream jsonl;
   MetricsWriter metrics(jsonl, ExportFormat::kJsonl);
